@@ -751,8 +751,6 @@ int main(int argc, char** argv) {
     std::printf("%-26s %9.1f ms  (%.1f req/s, %.2fx vs sequential)\n", "session_serving",
                 session_ms, throughput, sequential_ms / session_ms);
     std::printf("request latency            p50 %.1f ms, p99 %.1f ms\n", p50, p99);
-    std::printf("batches: %llu (largest %zu)\n",
-                static_cast<unsigned long long>(stats.batches), stats.max_batch);
     std::printf("plan cache                 %llu hits / %llu misses (%.1f%% hit rate)\n",
                 static_cast<unsigned long long>(stats.plan_cache.hits),
                 static_cast<unsigned long long>(stats.plan_cache.misses),
@@ -1012,8 +1010,6 @@ int main(int argc, char** argv) {
            << "  \"latency_p50_ms\": " << p50 << ",\n"
            << "  \"latency_p99_ms\": " << p99 << ",\n"
            << "  \"speedup_vs_sequential\": " << sequential_ms / session_ms << ",\n"
-           << "  \"batches\": " << stats.batches << ",\n"
-           << "  \"max_batch\": " << stats.max_batch << ",\n"
            << "  \"plan_cache_hit_rate\": " << stats.plan_cache.hit_rate() << ",\n"
            << "  \"plan_cache_hits\": " << stats.plan_cache.hits << ",\n"
            << "  \"plan_cache_misses\": " << stats.plan_cache.misses << ",\n"

@@ -61,8 +61,7 @@ int main() {
 
     session.drain();  // stats readers synchronize on drain()
     const SessionStats stats = session.stats();
-    std::cout << "requests served      : " << stats.completed << " in " << stats.batches
-              << " batches (largest " << stats.max_batch << ")\n"
+    std::cout << "requests served      : " << stats.completed << "\n"
               << "plan-cache hit rate  : " << stats.plan_cache.hits << "/"
               << (stats.plan_cache.hits + stats.plan_cache.misses) << " lookups\n"
               << "max |session - sync| : " << worst << "  (0 = bit-identical)\n";

@@ -1,7 +1,6 @@
 #include "core/decode_session.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -9,11 +8,6 @@
 namespace salo {
 
 namespace {
-
-template <typename Error>
-void fail_promise(std::promise<StepResult>& promise, Error error) {
-    promise.set_exception(std::make_exception_ptr(std::move(error)));
-}
 
 /// The prefix pattern a stream sees at length L: same bands, globals
 /// clipped to [0, L). Scheduler inputs depend on n, so each prefix length
@@ -30,24 +24,10 @@ HybridPattern prefix_pattern(const HybridPattern& full, int length) {
 }  // namespace
 
 DecodeSession::DecodeSession(const SaloConfig& config, DecodeSessionOptions options)
-    : options_(std::move(options)),
-      health_(std::max(1, options_.num_shards), options_.health),
-      admission_(options_.admission) {
-    SALO_EXPECTS(options_.num_shards >= 1);
-    if (options_.shared_plan_store)
-        shared_store_ = std::make_shared<PlanCache>(
-            static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)));
-    shards_.reserve(static_cast<std::size_t>(options_.num_shards));
-    for (int s = 0; s < options_.num_shards; ++s) {
-        SaloConfig shard_config = config;
-        const auto idx = static_cast<std::size_t>(s);
-        if (idx < options_.shard_fault_injectors.size() &&
-            options_.shard_fault_injectors[idx] != nullptr)
-            shard_config.fault_injector = options_.shard_fault_injectors[idx];
-        shard_config.shared_plan_store = shared_store_;
-        shards_.push_back(std::make_unique<Shard>(shard_config));
-    }
-    dispatcher_ = std::thread([this] { serve_loop(); });
+    : ServingTier(config, options.num_shards, options.shard_fault_injectors,
+                  options.shared_plan_store, options.health, /*steps=*/true),
+      admission_(options.admission) {
+    start(1, [this] { serve_loop(); });
 }
 
 DecodeSession::~DecodeSession() { close(); }
@@ -127,94 +107,42 @@ std::future<StepResult> DecodeSession::step(StreamId stream_id, StepRequest requ
 
     pending.cost = static_cast<std::uint64_t>(stream.heads);
     pending.request = std::move(request);
-
-    ++submitted_;
-    ++steps_;
-    TenantStats& tenant = tenant_stats_[stream.tenant];
-    ++tenant.submitted;
-    ++tenant.steps;
+    TenantStats& tenant = ledger_.submit(stream.tenant);
     ++stream.accepted_steps;
 
     if (stream.evicted) {
         // The append log already has a hole; this step can never execute.
-        ++failed_;
-        ++tenant.failed;
-        fail_promise(pending.promise,
-                     StreamEvicted("step() on an evicted stream: an earlier step "
-                                   "failed or the pinned shard was quarantined — "
-                                   "open a new stream and re-prefill"));
+        ledger_.resolve(tenant, Resolution::failed);
+        pending.promise.set_exception(std::make_exception_ptr(
+            StreamEvicted("step() on an evicted stream: an earlier step failed or the "
+                          "pinned shard was quarantined — open a new stream and "
+                          "re-prefill")));
         return future;
     }
 
-    // Admission wait loop, mirroring SaloSession::submit (steps are
-    // interactive-class; an admission shed also evicts the stream, since
-    // the skipped position would break the append order).
+    // Steps are interactive-class. Any refusal also evicts the stream, since
+    // the skipped position would break the append order; a stream evicted
+    // while this step waited fails it as StreamEvicted.
     const AdmissionPolicy& policy = admission_.policy();
-    const Clock::time_point admission_deadline = Clock::now() + policy.block_timeout;
-    for (;;) {
-        if (closed_) {
-            ++rejected_;
-            ++tenant.rejected;
-            evict_locked(stream, "session closed during admission wait");
-            fail_promise(pending.promise,
-                         SessionClosed("DecodeSession: session closed while the step "
-                                       "waited for admission"));
-            return future;
-        }
-        if (pending.request.deadline && Clock::now() > *pending.request.deadline) {
-            ++timed_out_;
-            ++shed_expired_;
-            ++tenant.timed_out;
-            evict_locked(stream, "step deadline expired during admission wait");
-            fail_promise(pending.promise,
-                         DeadlineExceeded("step deadline expired while waiting for "
-                                          "admission"));
-            return future;
-        }
-        const AdmissionDecision decision =
-            admission_.decide(snapshot_locked(), Priority::interactive, pending.cost);
-        if (decision == AdmissionDecision::admit) break;
-        if (decision == AdmissionDecision::reject) {
-            ++rejected_;
-            ++tenant.rejected;
-            evict_locked(stream, "admission control shed the step");
-            fail_promise(pending.promise,
-                         QueueFull("admission control rejected the decode step: queue "
-                                   "limits reached (the stream is evicted — a skipped "
-                                   "step would break the K/V append order)"));
-            return future;
-        }
-        if (policy.mode == AdmissionMode::block_with_timeout) {
-            ++waiting_submits_;
-            const std::cv_status status = cv_space_.wait_until(lock, admission_deadline);
-            --waiting_submits_;
-            if (status == std::cv_status::timeout) {
-                if (admission_.decide(snapshot_locked(), Priority::interactive,
-                                      pending.cost) == AdmissionDecision::admit)
-                    break;
-                ++rejected_;
-                ++tenant.rejected;
-                evict_locked(stream, "admission wait timed out");
-                fail_promise(pending.promise,
-                             QueueFull("admission wait timed out for decode step"));
-                return future;
-            }
-        } else {
-            ++waiting_submits_;
-            cv_space_.wait(lock);
-            --waiting_submits_;
-        }
-        // The stream may have been evicted while we waited (its earlier
-        // step failed, or the session started closing).
+    std::optional<Clock::time_point> wait_until;
+    if (policy.mode == AdmissionMode::block_with_timeout)
+        wait_until = Clock::now() + policy.block_timeout;
+    auto decide = [&](Refusal& refusal) {
         if (stream.evicted) {
-            ++failed_;
-            ++tenant.failed;
-            fail_promise(pending.promise,
-                         StreamEvicted("stream evicted while the step waited for "
-                                       "admission"));
-            return future;
+            refusal = {Resolution::failed,
+                       std::make_exception_ptr(StreamEvicted(
+                           "stream evicted while the step waited for admission"))};
+            return AdmissionDecision::reject;
         }
-    }
+        return admission_.decide(snapshot_locked(), Priority::interactive, pending.cost);
+    };
+    auto refuse = [&](std::exception_ptr error) {
+        evict_locked(stream, "the step was refused admission");
+        pending.promise.set_exception(std::move(error));
+    };
+    if (!admit(lock, tenant, Priority::interactive, pending.request.deadline, wait_until,
+               decide, refuse))
+        return future;
 
     ++queued_steps_;
     queued_cost_ += pending.cost;
@@ -231,84 +159,51 @@ std::future<StepResult> DecodeSession::step(StreamId stream_id, StepRequest requ
 void DecodeSession::evict_locked(Stream& stream, const std::string& reason) {
     if (!stream.evicted) {
         stream.evicted = true;
-        ++evicted_streams_;
+        ledger_.evicted_stream();
     }
-    TenantStats& tenant = tenant_stats_[stream.tenant];
     while (!stream.pending.empty()) {
         PendingStep p = std::move(stream.pending.front());
         stream.pending.pop_front();
         --queued_steps_;
         queued_cost_ -= p.cost;
-        ++failed_;
-        ++tenant.failed;
-        fail_promise(p.promise, StreamEvicted("stream evicted (" + reason +
-                                              "); this queued step cannot execute"));
+        ledger_.resolve(stream.tenant, Resolution::failed);
+        p.promise.set_exception(std::make_exception_ptr(StreamEvicted(
+            "stream evicted (" + reason + "); this queued step cannot execute")));
     }
     stream.queued = false;
 }
 
-void DecodeSession::account_locked(const std::string& tenant_id, Outcome outcome) {
-    TenantStats& tenant = tenant_stats_[tenant_id];
-    switch (outcome) {
-        case Outcome::ok:
-            ++completed_;
-            ++tenant.completed;
-            break;
-        case Outcome::failed:
-            ++failed_;
-            ++tenant.failed;
-            break;
-        case Outcome::cancelled:
-            ++cancelled_;
-            ++tenant.cancelled;
-            break;
-        case Outcome::timed_out:
-            ++timed_out_;
-            ++tenant.timed_out;
-            break;
-        case Outcome::shed_expired:
-            ++timed_out_;
-            ++shed_expired_;
-            ++tenant.timed_out;
-            break;
-    }
-}
-
-DecodeSession::Outcome DecodeSession::execute(ExecItem& item, int thread_budget) {
+Resolution DecodeSession::execute(ExecItem& item, int thread_budget) {
     Stream& stream = *item.stream;
     StepRequest& request = item.step.request;
+    std::promise<StepResult>& promise = item.step.promise;
     SaloEngine& engine = shards_[static_cast<std::size_t>(stream.shard)]->engine;
     const Clock::time_point now = Clock::now();
 
     // Shed without touching the shard: these never acquire a health slot.
     if (request.cancel.cancelled()) {
-        fail_promise(item.step.promise,
-                     RequestCancelled("step cancelled while queued; shed before "
-                                      "dispatch (stream evicted)"));
-        return Outcome::cancelled;
+        promise.set_exception(std::make_exception_ptr(RequestCancelled(
+            "step cancelled while queued; shed before dispatch (stream evicted)")));
+        return Resolution::cancelled;
     }
     if (request.deadline && now > *request.deadline) {
-        fail_promise(item.step.promise,
-                     DeadlineExceeded("step deadline expired while queued; shed "
-                                      "before dispatch (stream evicted)"));
-        return Outcome::shed_expired;
+        promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
+            "step deadline expired while queued; shed before dispatch (stream evicted)")));
+        return Resolution::shed_expired;
     }
 
     // Stream-sticky routing: the state lives here and only here. A shard
     // that refuses (quarantined, probe slots exhausted) evicts the stream —
     // the state is never rebuilt elsewhere behind the caller's back.
     if (!health_.try_acquire(stream.shard, now)) {
-        fail_promise(item.step.promise,
-                     StreamEvicted("pinned shard " + std::to_string(stream.shard) +
-                                   " is quarantined; stream state is lost — open a "
-                                   "new stream and re-prefill"));
-        return Outcome::failed;
+        promise.set_exception(std::make_exception_ptr(
+            StreamEvicted("pinned shard " + std::to_string(stream.shard) +
+                          " is quarantined; stream state is lost — open a new stream "
+                          "and re-prefill")));
+        return Resolution::failed;
     }
 
-    auto record = [&](CircuitBreaker::Outcome o) {
-        health_.record(stream.shard, o, Clock::now());
-    };
-
+    FailedAttempt failure;
     try {
         // Commit the position to the append log first: whatever happens
         // below, position t is spoken for (a failure evicts the stream, so
@@ -328,44 +223,22 @@ DecodeSession::Outcome DecodeSession::execute(ExecItem& item, int thread_budget)
         // construction; this only carries a per-step override.
         run_options.fault_injector = request.fault_injector.get();
 
-        item.step.promise.set_value(engine.run_step(*micro, request.q_row, k_compact,
-                                                    v_compact, stream.scale,
-                                                    run_options));
-        record(CircuitBreaker::Outcome::success);
-        return Outcome::ok;
-    } catch (const RequestCancelled&) {
-        item.step.promise.set_exception(std::current_exception());
-        record(CircuitBreaker::Outcome::neutral);
-        return Outcome::cancelled;
-    } catch (const DeadlineExceeded&) {
-        item.step.promise.set_exception(std::current_exception());
-        record(CircuitBreaker::Outcome::neutral);
-        return Outcome::timed_out;
-    } catch (const SaloError&) {
-        item.step.promise.set_exception(std::current_exception());
-        record(CircuitBreaker::Outcome::failure);
-        return Outcome::failed;
-    } catch (const ContractViolation&) {
-        // Caller bug, not shard sickness: never wrapped, never judged.
-        item.step.promise.set_exception(std::current_exception());
-        record(CircuitBreaker::Outcome::neutral);
-        return Outcome::failed;
-    } catch (const std::exception& e) {
-        fail_promise(item.step.promise,
-                     EngineFault(std::string("decode step threw: ") + e.what()));
-        record(CircuitBreaker::Outcome::failure);
-        return Outcome::failed;
+        promise.set_value(engine.run_step(*micro, request.q_row, k_compact, v_compact,
+                                          stream.scale, run_options));
+        health_.record(stream.shard, CircuitBreaker::Outcome::success, Clock::now());
+        return Resolution::completed;
     } catch (...) {
-        fail_promise(item.step.promise,
-                     EngineFault("decode step threw a non-std exception"));
-        record(CircuitBreaker::Outcome::failure);
-        return Outcome::failed;
+        failure = classify_failure(request.deadline);
     }
+    // No retry: the position is committed, so any failure evicts the stream.
+    promise.set_exception(failure.error);
+    health_.record(stream.shard, failure.breaker, Clock::now());
+    return failure.resolution;
 }
 
 void DecodeSession::serve_loop() {
     std::vector<ExecItem> batch;
-    std::vector<Outcome> outcome;
+    std::vector<Resolution> outcome;
     for (;;) {
         std::uint64_t batch_cost = 0;
         {
@@ -378,14 +251,11 @@ void DecodeSession::serve_loop() {
                 if (closed_) return;
                 continue;
             }
-            const std::size_t take = options_.max_batch > 0
-                                         ? options_.max_batch
-                                         : std::numeric_limits<std::size_t>::max();
             batch.clear();
             // One step per stream per batch: steps of one stream are a
             // strictly-ordered append log, so intra-stream concurrency is
             // impossible by construction; inter-stream steps batch freely.
-            while (batch.size() < take && !ready_.empty()) {
+            while (!ready_.empty()) {
                 const StreamId id = ready_.front();
                 ready_.pop_front();
                 const auto sit = streams_.find(id);
@@ -411,7 +281,7 @@ void DecodeSession::serve_loop() {
         }
         cv_space_.notify_all();
 
-        outcome.assign(batch.size(), Outcome::ok);
+        outcome.assign(batch.size(), Resolution::completed);
         if (batch.size() == 1) {
             // Idle tier: the lone step gets its shard's whole pool.
             outcome[0] = execute(batch[0], /*thread_budget=*/0);
@@ -459,8 +329,8 @@ void DecodeSession::serve_loop() {
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 Stream& stream = *batch[i].stream;
                 stream.executing = false;
-                account_locked(stream.tenant, outcome[i]);
-                if (outcome[i] != Outcome::ok) {
+                ledger_.resolve(stream.tenant, outcome[i]);
+                if (outcome[i] != Resolution::completed) {
                     // Uniform eviction contract: any non-success outcome
                     // leaves a hole in the append log.
                     evict_locked(stream, "a step failed to complete");
@@ -469,10 +339,7 @@ void DecodeSession::serve_loop() {
                     ready_.push_back(batch[i].id);
                 }
             }
-            if (!batch.empty()) {
-                ++batches_;
-                if (batch.size() > max_batch_seen_) max_batch_seen_ = batch.size();
-            }
+            if (!batch.empty()) ledger_.batch(batch.size());
             in_flight_cost_ -= batch_cost;
             in_flight_ = 0;
         }
@@ -499,90 +366,11 @@ void DecodeSession::drain() {
     });
 }
 
-void DecodeSession::close() {
-    std::thread to_join;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        closed_ = true;
-        to_join = std::move(dispatcher_);
-    }
-    cv_work_.notify_all();
-    cv_space_.notify_all();
-    if (to_join.joinable()) {
-        to_join.join();
-#ifndef NDEBUG
-        std::lock_guard<std::mutex> lock(m_);
-        if (waiting_submits_ == 0) {
-            // Conservation, and the decode-tier refinement: every accepted
-            // submission is a step, globally and per tenant.
-            SALO_DEBUG_ASSERT(completed_ + failed_ + rejected_ + timed_out_ +
-                                  cancelled_ ==
-                              submitted_);
-            SALO_DEBUG_ASSERT(steps_ == submitted_);
-            std::uint64_t tenant_submitted = 0;
-            for (const auto& [name, t] : tenant_stats_) {
-                (void)name;
-                SALO_DEBUG_ASSERT(t.accounted() == t.submitted);
-                SALO_DEBUG_ASSERT(t.steps == t.submitted);
-                tenant_submitted += t.submitted;
-            }
-            SALO_DEBUG_ASSERT(tenant_submitted == submitted_);
-        }
-#endif
-    }
-}
-
 int DecodeSession::stream_shard(StreamId stream_id) const {
     std::lock_guard<std::mutex> lock(m_);
     const auto it = streams_.find(stream_id);
     SALO_EXPECTS(it != streams_.end());
     return it->second->shard;
-}
-
-SessionStats DecodeSession::stats() const {
-    SessionStats s;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        s.submitted = submitted_;
-        s.completed = completed_;
-        s.failed = failed_;
-        s.rejected = rejected_;
-        s.timed_out = timed_out_;
-        s.cancelled = cancelled_;
-        s.shed_expired = shed_expired_;
-        s.batches = batches_;
-        s.max_batch = max_batch_seen_;
-        s.steps = steps_;
-        s.evicted_streams = evicted_streams_;
-    }
-    for (const auto& shard : shards_) {
-        const PlanCacheStats c = shard->engine.plan_cache_stats();
-        s.plan_cache.hits += c.hits;
-        s.plan_cache.misses += c.misses;
-        s.plan_cache.compiles += c.compiles;
-        s.plan_cache.step_derives += c.step_derives;
-        s.plan_cache.shared_resolved += c.shared_resolved;
-        s.plan_cache.evictions += c.evictions;
-        s.plan_cache.size += c.size;
-        s.plan_cache.capacity += c.capacity;
-    }
-    if (shared_store_) {
-        const PlanCacheStats c = shared_store_->stats();
-        s.plan_cache.compiles += c.compiles;
-        s.plan_cache.step_derives += c.step_derives;
-    }
-    s.quarantined_shard_events = health_.quarantined_events_total();
-    s.reintegrated_shard_events = health_.reintegrated_events_total();
-    return s;
-}
-
-std::map<std::string, TenantStats> DecodeSession::tenant_stats() const {
-    std::lock_guard<std::mutex> lock(m_);
-    return tenant_stats_;
-}
-
-std::vector<ShardHealthSnapshot> DecodeSession::shard_health() const {
-    return health_.snapshot(Clock::now());
 }
 
 }  // namespace salo

@@ -1,7 +1,7 @@
 // DecodeSession: streaming autoregressive decode over persistent per-stream
 // K/V state.
 //
-// Where SaloSession serves whole sequences, a DecodeSession serves *steps*:
+// Where ShardedSession serves whole sequences, a DecodeSession serves *steps*:
 // a caller opens a stream (a fixed decode-compatible pattern, head count,
 // head dimension), then submits one query row at a time; every step appends
 // that position's K/V rows to the stream's DecodeState (ring window +
@@ -20,8 +20,12 @@
 // stream into one batch — steps of one stream always execute in submission
 // order (the K/V append log is strictly ordered), steps of different
 // streams run concurrently on the engine pools (budget 1 each), and a lone
-// step gets the whole pool, mirroring SaloSession's two batch shapes. Every
-// completed step is bit-identical to row t of the full-prefix encode.
+// step gets the whole pool. Every completed step is bit-identical to row t
+// of the full-prefix encode.
+//
+// Shards, admission, accounting and close() are the shared serving core
+// (core/tier.hpp); only the stream table and the step dispatcher live
+// here.
 //
 // State affinity (the contract docs/API.md "Decode lifecycle" documents):
 // a stream's DecodeState lives on exactly one engine shard, picked by
@@ -40,24 +44,17 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "attention/streaming.hpp"
-#include "core/admission.hpp"
-#include "core/engine.hpp"
-#include "core/health.hpp"
-#include "core/session.hpp"  // SessionStats / TenantStats
+#include "core/tier.hpp"
 
 namespace salo {
 
@@ -65,13 +62,12 @@ using StreamId = std::uint64_t;
 
 /// One decode step: the new position's query/key/value rows, one row per
 /// head (all heads x head_dim), plus the per-step robustness knobs of
-/// AttentionRequest.
+/// AttentionRequest. The tenant is the stream's, fixed at open_stream().
 struct StepRequest {
     Matrix<float> q_row;
     Matrix<float> k_row;
     Matrix<float> v_row;
     std::optional<Fidelity> fidelity;
-    std::string tenant_id;  ///< fixed per stream at open_stream(); ignored here
     std::optional<std::chrono::steady_clock::time_point> deadline;
     CancellationToken cancel;
     std::shared_ptr<const FaultInjector> fault_injector;
@@ -81,9 +77,6 @@ struct DecodeSessionOptions {
     /// Independent engine shards (own pool + PlanCache each). Streams are
     /// pinned to a shard at open_stream() and never migrate.
     int num_shards = 1;
-    /// Maximum streams served in one dispatcher batch. 0 = every ready
-    /// stream.
-    std::size_t max_batch = 0;
     /// Admission policy over queued steps (cost unit = heads).
     AdmissionPolicy admission;
     /// Shard circuit breakers; a quarantined shard evicts its streams.
@@ -97,14 +90,11 @@ struct DecodeSessionOptions {
     bool shared_plan_store = false;
 };
 
-class DecodeSession {
+class DecodeSession : public ServingTier {
 public:
     explicit DecodeSession(const SaloConfig& config = {},
                            DecodeSessionOptions options = {});
     ~DecodeSession();  // close()
-
-    DecodeSession(const DecodeSession&) = delete;
-    DecodeSession& operator=(const DecodeSession&) = delete;
 
     /// Open a stream for up to pattern.n() steps of `pattern` (which must
     /// be decode_compatible: causal bands, 1D, globals inside the window
@@ -129,37 +119,10 @@ public:
     /// Block until every submitted step has resolved.
     void drain();
 
-    /// Stop accepting work, serve what is queued, join the dispatcher.
-    /// Idempotent; the destructor calls it.
-    void close();
-
-    /// steps == submitted here by construction; evicted_streams counts
-    /// streams lost to quarantine or failed steps. plan_cache aggregates
-    /// over shards.
-    SessionStats stats() const;
-
-    /// Per-tenant slice; each tenant obeys the conservation law and
-    /// steps == submitted.
-    std::map<std::string, TenantStats> tenant_stats() const;
-
-    std::vector<ShardHealthSnapshot> shard_health() const;
-
-    int num_shards() const { return static_cast<int>(shards_.size()); }
     /// The shard a live stream is pinned to (tests/benches).
     int stream_shard(StreamId stream) const;
-    const SaloEngine& shard_engine(int shard) const {
-        return shards_[static_cast<std::size_t>(shard)]->engine;
-    }
-    const SaloConfig& config() const { return shards_.front()->engine.config(); }
 
 private:
-    using Clock = std::chrono::steady_clock;
-
-    struct Shard {
-        explicit Shard(const SaloConfig& config) : engine(config) {}
-        SaloEngine engine;
-    };
-
     struct PendingStep {
         StepRequest request;
         std::promise<StepResult> promise;
@@ -194,28 +157,17 @@ private:
         PendingStep step;
     };
 
-    /// How one executed step resolved.
-    enum class Outcome { ok, failed, cancelled, timed_out, shed_expired };
-
     void serve_loop();
-    Outcome execute(ExecItem& item, int thread_budget);
+    Resolution execute(ExecItem& item, int thread_budget);
     /// Mark the stream evicted and fail everything still queued on it.
     /// Caller holds m_.
     void evict_locked(Stream& stream, const std::string& reason);
-    void account_locked(const std::string& tenant, Outcome outcome);
     int pick_shard(StreamId id, Clock::time_point now);
     AdmissionSnapshot snapshot_locked() const;
 
-    DecodeSessionOptions options_;
-    std::shared_ptr<PlanCache> shared_store_;  ///< before shards_ (they attach)
-    std::vector<std::unique_ptr<Shard>> shards_;
-    mutable HealthSupervisor health_;
     AdmissionController admission_;
 
-    mutable std::mutex m_;
-    std::condition_variable cv_work_;   ///< ready streams / closing
-    std::condition_variable cv_space_;  ///< admission state changed
-    std::condition_variable cv_idle_;   ///< a batch finished
+    // Guarded by m_.
     std::unordered_map<StreamId, std::unique_ptr<Stream>> streams_;
     std::deque<StreamId> ready_;  ///< streams with a dispatchable front step
     std::uint64_t next_stream_id_ = 1;
@@ -223,23 +175,6 @@ private:
     std::uint64_t queued_cost_ = 0;
     std::uint64_t in_flight_cost_ = 0;
     std::size_t in_flight_ = 0;
-    std::size_t waiting_submits_ = 0;  ///< see SaloSession::close()
-    bool closed_ = false;
-
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t timed_out_ = 0;
-    std::uint64_t cancelled_ = 0;
-    std::uint64_t shed_expired_ = 0;
-    std::uint64_t batches_ = 0;
-    std::size_t max_batch_seen_ = 0;
-    std::uint64_t steps_ = 0;  ///< == submitted_ (every submission is a step)
-    std::uint64_t evicted_streams_ = 0;
-    std::map<std::string, TenantStats> tenant_stats_;
-
-    std::thread dispatcher_;  ///< last member: joined by close()
 };
 
 }  // namespace salo

@@ -89,6 +89,16 @@ SchedulePlan SaloEngine::plan(const HybridPattern& pattern, int head_dim) const 
     return schedule(pattern, config_.geometry, head_dim, config_.schedule_options);
 }
 
+SaloEngine::RunControl SaloEngine::run_control(const RunOptions& options) const {
+    RunControl ctl;
+    ctl.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
+    ctl.has_deadline = options.deadline.has_value();
+    if (options.deadline) ctl.deadline = *options.deadline;
+    ctl.fault = options.fault_injector != nullptr ? options.fault_injector
+                                                  : config_.fault_injector.get();
+    return ctl;
+}
+
 void SaloEngine::check_compatible(const CompiledPlan& plan) const {
     SALO_EXPECTS(plan.geometry() == config_.geometry);
     SALO_EXPECTS(plan.options() == config_.schedule_options);
@@ -343,7 +353,6 @@ HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<flo
                                      Fidelity fidelity, const RunControl* ctl) const {
     const StepGeometry& sg = micro.step();
     const int d = micro.head_dim();
-    HeadResult result;
 
     if (fidelity == Fidelity::kGolden) {
         if (ctl != nullptr) ctl->check(-1);
@@ -390,68 +399,19 @@ HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<flo
                     out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
             }
         }
+        HeadResult result;
         result.output = std::move(out);
         return result;
     }
 
     // Quantization is elementwise, so the single scaled query row and the
     // compact K/V rows quantize to exactly the bits the full-prefix run
-    // produces for the same rows.
+    // produces for the same rows. A step is a one-row Q, so the sequential
+    // tile loop runs it unchanged.
     Matrix<float> q_scaled(1, d, 0.0f);
     for (int x = 0; x < d; ++x) q_scaled(0, x) = q_row(head, x) * scale;
-    const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
-    const Matrix<std::int8_t> kq = quantize<InputFx>(k);
-    const Matrix<std::int8_t> vq = quantize<InputFx>(v);
-
-    const SchedulePlan& plan = micro.plan();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
-    WeightedSumModule wsm(1, d, recip_unit_);
-    TileAccountant accountant(config_, d);
-
-    if (fidelity == Fidelity::kFunctional) {
-        const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            std::vector<TilePart> parts;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                parts.clear();
-                exec.run(tile, parts, result.stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        } else {
-            PartArena arena;
-            PartScratch scratch;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
-                                       recip_unit_, qq, kq, vq);
-        std::vector<TilePart> parts;
-        for (int t = 0; t < num_tiles; ++t) {
-            if (ctl != nullptr) ctl->check(t);
-            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-            parts.clear();
-            array.run(tile, parts, result.stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
-            accountant.account(tile, result.stats);
-        }
-    }
-
-    result.output = wsm.finalize();
-    return result;
+    return run_head_sequential(micro.plan(), fidelity, quantize<InputFx>(q_scaled),
+                               quantize<InputFx>(k), quantize<InputFx>(v), ctl);
 }
 
 CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
@@ -474,12 +434,7 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
     SALO_EXPECTS(k.cols() == d && v.cols() == d);
 
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
-    RunControl ctl_storage;
-    ctl_storage.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
-    ctl_storage.has_deadline = options.deadline.has_value();
-    if (options.deadline) ctl_storage.deadline = *options.deadline;
-    ctl_storage.fault = options.fault_injector != nullptr ? options.fault_injector
-                                                          : config_.fault_injector.get();
+    const RunControl ctl_storage = run_control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
 
     StepResult result;
@@ -551,12 +506,7 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
 
     // Resolve the robustness hooks once; a null control keeps the tile
     // loops free of clock reads and atomic loads (the common case).
-    RunControl ctl_storage;
-    ctl_storage.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
-    ctl_storage.has_deadline = options.deadline.has_value();
-    if (options.deadline) ctl_storage.deadline = *options.deadline;
-    ctl_storage.fault = options.fault_injector != nullptr ? options.fault_injector
-                                                          : config_.fault_injector.get();
+    const RunControl ctl_storage = run_control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
 
     const int heads = q.count();

@@ -14,8 +14,8 @@
 // The engine also keeps an internal PlanCache, so the legacy one-shot
 // run_head(pattern, ...)/run(pattern, ...) calls — now thin shims over the
 // compiled-plan API — no longer re-run the scheduler on every invocation.
-// For request-level serving (many in-flight layers batched onto one worker
-// pool) use SaloSession (core/session.hpp).
+// For request-level serving (many in-flight layers sharing the engines)
+// use SaloSession / ShardedSession (core/session.hpp, core/shard_router.hpp).
 //
 // Fidelity levels:
 //   kGolden        — float masked attention, no hardware at all (oracle);
@@ -120,14 +120,14 @@ public:
                     const Tensor3<float>& k, const Tensor3<float>& v,
                     float scale) const;
 
-    /// Advanced overload (SaloSession batching): per-call fidelity and
+    /// Advanced overload (request serving): per-call fidelity and
     /// execution shape. `thread_budget` <= 0 means the configured thread
     /// count; 1 forces the pure sequential path with no pool involvement,
     /// so many such calls can run concurrently. Values > 1 are NOT a lane
     /// bound: they select the parallel path, which always runs on the
     /// engine's full pool, and concurrent parallel regions serialize on
-    /// that pool — callers building their own batchers should pass 1 per
-    /// request (as SaloSession does) and parallelize across calls. Results
+    /// that pool — callers running requests concurrently should pass 1 per
+    /// request (as the serving tiers do) and parallelize across calls. Results
     /// are bit-identical for every value.
     LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v, float scale,
@@ -185,7 +185,6 @@ public:
                                 const Matrix<float>& k, const Matrix<float>& v, float scale);
 
 private:
-    friend class SaloSession;    ///< batches requests onto the engine's pool
     friend class DecodeSession;  ///< batches decode steps onto the engine's pool
 
     /// Resolved robustness hooks for one run; null pointer = none active,
@@ -234,6 +233,10 @@ private:
     /// The plan must match this engine's geometry/options (checked).
     void check_compatible(const CompiledPlan& plan) const;
 
+    /// The robustness hooks of `options`, with the engine-level fault
+    /// injector as the fallback.
+    RunControl run_control(const RunOptions& options) const;
+
     /// `threads` is the lane budget for THIS head (1 = sequential; callers
     /// running heads in parallel pass 1 so levels never nest). `ws` may be
     /// null (a scratch workspace is created when needed). `ctl` may be null
@@ -257,8 +260,9 @@ private:
                                  ParallelWorkspace& ws,
                                  const RunControl* ctl = nullptr) const;
 
-    /// One head of one decode step (sequential tile loop; micro-plans are
-    /// a handful of tiles, so there is nothing to fork over inside a head).
+    /// One head of one decode step: the golden row, or the sequential tile
+    /// loop over a one-row Q (micro-plans are a handful of tiles, so there
+    /// is nothing to fork over inside a head).
     HeadResult run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
                              int head, const Matrix<float>& k, const Matrix<float>& v,
                              float scale, Fidelity fidelity,

@@ -22,7 +22,7 @@
 // submit(); per-request outcomes (QueueFull, DeadlineExceeded,
 // RequestCancelled, EngineFault) resolve the request's future, so one
 // uniform `future.get()` sees every asynchronous failure. SessionStats
-// counts each outcome class (see core/session.hpp).
+// counts each outcome class (see core/tier.hpp).
 #pragma once
 
 #include <stdexcept>

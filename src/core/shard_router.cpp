@@ -10,46 +10,60 @@ namespace salo {
 
 namespace {
 
-/// Same admission cost proxy as SaloSession: heads x rows.
+/// Admission cost proxy: head-rows. Execution time scales with the number
+/// of scheduled tiles, which scales with heads x rows for a given pattern
+/// family; this keeps a few huge requests from hiding behind a small queue
+/// depth.
 std::uint64_t request_cost(const AttentionRequest& r) {
     return static_cast<std::uint64_t>(r.q.count()) *
            static_cast<std::uint64_t>(r.q.rows());
 }
 
-template <typename Error>
-void fail_promise(std::promise<LayerResult>& promise, Error error) {
-    promise.set_exception(std::make_exception_ptr(std::move(error)));
-}
-
 /// task_queues_ index for a priority class.
 std::size_t band_index(Priority p) { return p == Priority::interactive ? 0 : 1; }
 
+std::string what_of(const std::exception_ptr& error) {
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "non-std exception";
+    }
+}
+
 }  // namespace
 
+AttentionRequest make_request(CompiledPlanPtr plan, Tensor3<float> q, Tensor3<float> k,
+                              Tensor3<float> v, float scale) {
+    AttentionRequest r;
+    r.plan = std::move(plan);
+    r.q = std::move(q);
+    r.k = std::move(k);
+    r.v = std::move(v);
+    r.scale = scale;
+    return r;
+}
+
+AttentionRequest make_request(HybridPattern pattern, Tensor3<float> q, Tensor3<float> k,
+                              Tensor3<float> v, float scale) {
+    AttentionRequest r;
+    r.pattern = std::move(pattern);
+    r.q = std::move(q);
+    r.k = std::move(k);
+    r.v = std::move(v);
+    r.scale = scale;
+    return r;
+}
+
 ShardedSession::ShardedSession(const SaloConfig& config, ShardedSessionOptions options)
-    : options_(std::move(options)),
-      health_(std::max(options_.num_shards, 1), options_.health),
+    : ServingTier(config, options.num_shards, options.shard_fault_injectors,
+                  options.shared_plan_store, options.health, /*steps=*/false),
+      options_(std::move(options)),
       sched_(options_.fairness) {
-    SALO_EXPECTS(options_.num_shards >= 1);
     SALO_EXPECTS(options_.retry.max_attempts >= 1);
-    if (options_.shared_plan_store)
-        shared_store_ = std::make_shared<PlanCache>(
-            static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)));
-    shards_.reserve(static_cast<std::size_t>(options_.num_shards));
-    for (int i = 0; i < options_.num_shards; ++i) {
-        SaloConfig shard_config = config;
-        const auto idx = static_cast<std::size_t>(i);
-        if (idx < options_.shard_fault_injectors.size() &&
-            options_.shard_fault_injectors[idx] != nullptr)
-            shard_config.fault_injector = options_.shard_fault_injectors[idx];
-        shard_config.shared_plan_store = shared_store_;
-        shards_.push_back(std::make_unique<Shard>(shard_config));
-    }
-    const int workers =
-        options_.router_workers > 0 ? options_.router_workers : 2 * options_.num_shards;
-    workers_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-        workers_.emplace_back([this] { worker_main(); });
+    start(options_.router_workers > 0 ? options_.router_workers : 2 * options_.num_shards,
+          [this] { worker_main(); });
 }
 
 ShardedSession::~ShardedSession() { close(); }
@@ -68,6 +82,9 @@ AdmissionSnapshot ShardedSession::snapshot_locked() const {
 }
 
 std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
+    // Structural checks that are cheap and certainly caller bugs happen
+    // here, synchronously; shape/pattern mismatches surface through the
+    // future like any other execution error.
     SALO_EXPECTS(request.plan != nullptr || request.pattern.has_value());
     SALO_EXPECTS(request.q.count() >= 1);
     SALO_EXPECTS(request.q.count() == request.k.count() &&
@@ -88,7 +105,7 @@ std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
     task.request = std::move(request);
     std::future<LayerResult> future = task.promise.get_future();
     const Priority priority = task.request.priority;
-    const std::string tenant = task.request.tenant_id;
+    const std::string& tenant = task.request.tenant_id;
 
     {
         std::unique_lock<std::mutex> lock(m_);
@@ -96,106 +113,52 @@ std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
             throw SessionClosed(
                 "ShardedSession: submit() after close() — the tier is closed and no "
                 "longer accepts requests");
-        ++submitted_;
-        ++tenant_stats_[tenant].submitted;
+        TenantStats& tenant_stats = ledger_.submit(tenant);
         task.id = next_task_id_++;
+
+        // The wait bound, when any applicable policy is block_with_timeout:
+        // the tighter of the timeouts that can put this request to sleep.
+        std::optional<std::chrono::milliseconds> wait_budget;
+        if (options_.admission.mode == AdmissionMode::block_with_timeout)
+            wait_budget = options_.admission.block_timeout;
+        const AdmissionPolicy& tenant_policy = sched_.quota(tenant).admission;
+        if (tenant_policy.mode == AdmissionMode::block_with_timeout)
+            wait_budget = std::min(wait_budget.value_or(tenant_policy.block_timeout),
+                                   tenant_policy.block_timeout);
+        std::optional<Clock::time_point> wait_until;
+        if (wait_budget) wait_until = Clock::now() + *wait_budget;
 
         // Combined admission: the global scaled policy (degradation-aware:
         // limits shrink with the healthy-shard fraction) AND the tenant's
         // own quota, strictest outcome wins. A flooding tenant trips its
         // quota while everyone else's admission never sees it.
-        struct Combined {
-            AdmissionDecision decision;
-            bool tenant_limited;
-            int healthy;
-        };
-        auto decide_combined = [&]() -> Combined {
+        auto decide = [&](Refusal& refusal) {
             const int healthy = health_.healthy_count(Clock::now());
-            const AdmissionController global(scaled_policy(
-                options_.admission, healthy, static_cast<int>(shards_.size())));
-            const AdmissionDecision g =
-                global.decide(snapshot_locked(), priority, task.cost);
+            const AdmissionController global(
+                scaled_policy(options_.admission, healthy, num_shards()));
+            const AdmissionDecision g = global.decide(snapshot_locked(), priority, task.cost);
             const AdmissionDecision t = sched_.decide(tenant, priority, task.cost);
+            if (t == AdmissionDecision::reject)
+                refusal.error = std::make_exception_ptr(
+                    QueueFull(std::string("tenant quota rejected ") + priority_name(priority) +
+                              "-class request for tenant '" + tenant + "'"));
+            else if (g == AdmissionDecision::reject)
+                refusal.error = std::make_exception_ptr(QueueFull(
+                    std::string("tier admission rejected ") + priority_name(priority) +
+                    "-class request (" + std::to_string(healthy) + "/" +
+                    std::to_string(num_shards()) + " shards healthy)"));
             if (g == AdmissionDecision::reject || t == AdmissionDecision::reject)
-                return {AdmissionDecision::reject, t == AdmissionDecision::reject,
-                        healthy};
+                return AdmissionDecision::reject;
             if (g == AdmissionDecision::wait || t == AdmissionDecision::wait)
-                return {AdmissionDecision::wait,
-                        t == AdmissionDecision::wait && g == AdmissionDecision::admit,
-                        healthy};
-            return {AdmissionDecision::admit, false, healthy};
+                return AdmissionDecision::wait;
+            return AdmissionDecision::admit;
         };
-
-        // The wait bound, when any applicable policy is block_with_timeout:
-        // the tighter of the timeouts that can put this request to sleep.
-        const AdmissionPolicy& tenant_policy = sched_.quota(tenant).admission;
-        bool timed_wait = options_.admission.mode == AdmissionMode::block_with_timeout;
-        std::chrono::milliseconds wait_budget = options_.admission.block_timeout;
-        if (tenant_policy.mode == AdmissionMode::block_with_timeout) {
-            wait_budget = timed_wait
-                              ? std::min(wait_budget, tenant_policy.block_timeout)
-                              : tenant_policy.block_timeout;
-            timed_wait = true;
-        }
-        const Clock::time_point admission_deadline = Clock::now() + wait_budget;
-
-        for (;;) {
-            if (closed_) {
-                ++rejected_;
-                ++tenant_stats_[tenant].rejected;
-                fail_promise(task.promise,
-                             SessionClosed("ShardedSession: tier closed while the "
-                                           "request waited for admission"));
-                return future;
-            }
-            if (task.request.deadline && Clock::now() > *task.request.deadline) {
-                ++timed_out_;
-                ++shed_expired_;
-                ++tenant_stats_[tenant].timed_out;
-                fail_promise(task.promise,
-                             DeadlineExceeded("request deadline expired while waiting "
-                                              "for admission"));
-                return future;
-            }
-            const Combined combined = decide_combined();
-            if (combined.decision == AdmissionDecision::admit) break;
-            if (combined.decision == AdmissionDecision::reject) {
-                ++rejected_;
-                ++tenant_stats_[tenant].rejected;
-                fail_promise(
-                    task.promise,
-                    combined.tenant_limited
-                        ? QueueFull(std::string("tenant quota rejected ") +
-                                    priority_name(priority) +
-                                    "-class request for tenant '" + tenant + "'")
-                        : QueueFull(std::string("tier admission rejected ") +
-                                    priority_name(priority) + "-class request (" +
-                                    std::to_string(combined.healthy) + "/" +
-                                    std::to_string(shards_.size()) +
-                                    " shards healthy)"));
-                return future;
-            }
-            if (timed_wait) {
-                ++waiting_submits_;
-                const std::cv_status wait_status =
-                    cv_space_.wait_until(lock, admission_deadline);
-                --waiting_submits_;
-                if (wait_status == std::cv_status::timeout) {
-                    if (decide_combined().decision == AdmissionDecision::admit) break;
-                    ++rejected_;
-                    ++tenant_stats_[tenant].rejected;
-                    fail_promise(task.promise,
-                                 QueueFull(std::string("tier admission wait timed out "
-                                                       "for ") +
-                                           priority_name(priority) + "-class request"));
-                    return future;
-                }
-            } else {
-                ++waiting_submits_;
-                cv_space_.wait(lock);
-                --waiting_submits_;
-            }
-        }
+        auto refuse = [&task](std::exception_ptr error) {
+            task.promise.set_exception(std::move(error));
+        };
+        if (!admit(lock, tenant_stats, priority, task.request.deadline, wait_until, decide,
+                   refuse))
+            return future;
 
         // Lockstep commit: the scheduler books the cost, the task deque
         // holds the object — same tenant, same class, FIFO on both sides.
@@ -257,29 +220,10 @@ void ShardedSession::worker_main() {
     }
 }
 
-void ShardedSession::finish(const std::string& tenant, Resolution resolution,
-                            bool shed_expired) {
+void ShardedSession::finish(Task& task, Resolution resolution, std::exception_ptr error) {
+    if (error != nullptr) task.promise.set_exception(std::move(error));
     std::lock_guard<std::mutex> lock(m_);
-    TenantStats& t = tenant_stats_[tenant];
-    switch (resolution) {
-        case Resolution::completed:
-            ++completed_;
-            ++t.completed;
-            break;
-        case Resolution::failed:
-            ++failed_;
-            ++t.failed;
-            break;
-        case Resolution::timed_out:
-            ++timed_out_;
-            ++t.timed_out;
-            if (shed_expired) ++shed_expired_;
-            break;
-        case Resolution::cancelled:
-            ++cancelled_;
-            ++t.cancelled;
-            break;
-    }
+    ledger_.resolve(task.request.tenant_id, resolution);
 }
 
 int ShardedSession::pick_shard(const Task& task, Clock::time_point now) {
@@ -376,50 +320,44 @@ ShardedSession::WaitOutcome ShardedSession::backoff_wait(
 }
 
 void ShardedSession::serve_task(Task& task) {
-    const std::string& tenant = task.request.tenant_id;
-    // Shed without touching any shard, mirroring SaloSession's dispatcher.
-    if (task.request.cancel.cancelled()) {
-        fail_promise(task.promise, RequestCancelled("request cancelled while queued; "
-                                                    "shed before dispatch"));
-        finish(tenant, Resolution::cancelled);
-        return;
-    }
-    if (task.request.deadline && Clock::now() > *task.request.deadline) {
-        fail_promise(task.promise, DeadlineExceeded("request deadline expired while "
-                                                    "queued; shed before dispatch"));
-        finish(tenant, Resolution::timed_out, /*shed_expired=*/true);
-        return;
-    }
+    const AttentionRequest& request = task.request;
+    // Shed without touching any shard.
+    if (request.cancel.cancelled())
+        return finish(task, Resolution::cancelled,
+                      std::make_exception_ptr(RequestCancelled(
+                          "request cancelled while queued; shed before dispatch")));
+    if (request.deadline && Clock::now() > *request.deadline)
+        return finish(task, Resolution::shed_expired,
+                      std::make_exception_ptr(DeadlineExceeded(
+                          "request deadline expired while queued; shed before dispatch")));
 
-    std::string last_fault;
     for (;;) {
         ++task.attempts;
         const Clock::time_point attempt_start = Clock::now();
         const int shard_index = pick_shard(task, attempt_start);
         if (task.attempts > 1 && shard_index != task.last_shard) {
-            failed_over_.fetch_add(1, std::memory_order_relaxed);
             std::lock_guard<std::mutex> lock(m_);
-            ++tenant_stats_[tenant].failed_over;
+            ledger_.failed_over(request.tenant_id);
         }
         Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
         shard.outstanding_cost.fetch_add(task.cost, std::memory_order_relaxed);
         const int active_here = shard.active.fetch_add(1, std::memory_order_relaxed) + 1;
 
         RunOptions run_options;
-        run_options.fidelity = task.request.fidelity;
+        run_options.fidelity = request.fidelity;
         // Alone on the shard: use its whole pool (tile parallelism). Sharing
-        // it: sequential lanes, like SaloSession's busy-server path. Either
-        // way the result is bit-identical (engine guarantee).
+        // it: the sequential path on this worker. Either way the result is
+        // bit-identical (engine guarantee).
         run_options.thread_budget = active_here == 1 ? 0 : 1;
-        run_options.cancel = task.request.cancel;
-        std::optional<Clock::time_point> attempt_deadline = task.request.deadline;
+        run_options.cancel = request.cancel;
+        std::optional<Clock::time_point> attempt_deadline = request.deadline;
         if (options_.stall_timeout.count() > 0) {
             const Clock::time_point stall_bound = attempt_start + options_.stall_timeout;
             attempt_deadline = attempt_deadline ? std::min(*attempt_deadline, stall_bound)
                                                 : stall_bound;
         }
         run_options.deadline = attempt_deadline;
-        run_options.fault_injector = task.request.fault_injector.get();
+        run_options.fault_injector = request.fault_injector.get();
 
         auto release = [&](CircuitBreaker::Outcome outcome) {
             shard.outstanding_cost.fetch_sub(task.cost, std::memory_order_relaxed);
@@ -427,92 +365,56 @@ void ShardedSession::serve_task(Task& task) {
             health_.record(shard_index, outcome, Clock::now());
         };
 
+        FailedAttempt failure;
         try {
             const CompiledPlanPtr plan =
-                task.request.plan != nullptr
-                    ? task.request.plan
-                    : shard.engine.compile(*task.request.pattern, task.request.q.cols());
-            LayerResult result =
-                shard.engine.run(*plan, task.request.q, task.request.k, task.request.v,
-                                 task.request.scale, run_options);
+                request.plan != nullptr
+                    ? request.plan
+                    : shard.engine.compile(*request.pattern, request.q.cols());
+            LayerResult result = shard.engine.run(*plan, request.q, request.k, request.v,
+                                                  request.scale, run_options);
             release(CircuitBreaker::Outcome::success);
             task.promise.set_value(std::move(result));
-            finish(tenant, Resolution::completed);
-            return;
-        } catch (const RequestCancelled&) {
-            release(CircuitBreaker::Outcome::neutral);
-            task.promise.set_exception(std::current_exception());
-            finish(tenant, Resolution::cancelled);
-            return;
-        } catch (const DeadlineExceeded&) {
-            const bool request_expired =
-                task.request.deadline && Clock::now() >= *task.request.deadline;
-            if (request_expired) {
-                // The request's own deadline: terminal, and retrying could
-                // only exceed it further.
-                release(CircuitBreaker::Outcome::neutral);
-                task.promise.set_exception(std::current_exception());
-                finish(tenant, Resolution::timed_out);
-                return;
-            }
-            // The stall bound, not the deadline: the shard wedged. Charge
-            // its breaker and retry the work elsewhere.
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = "shard " + std::to_string(shard_index) +
-                         " stalled past the attempt bound";
-        } catch (const ContractViolation&) {
-            // Caller bug: deterministic on every shard, never retried.
-            release(CircuitBreaker::Outcome::neutral);
-            task.promise.set_exception(std::current_exception());
-            finish(tenant, Resolution::failed);
-            return;
-        } catch (const SaloError& e) {
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = e.what();
-        } catch (const std::exception& e) {
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = std::string("engine worker threw: ") + e.what();
+            return finish(task, Resolution::completed);
         } catch (...) {
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = "engine worker threw a non-std exception";
+            failure = classify_failure(request.deadline);
         }
+        release(failure.breaker);
+        if (!failure.retryable) return finish(task, failure.resolution, failure.error);
 
         // Retryable failure (EngineFault or a shard stall).
         task.last_shard = shard_index;
         if (task.attempts >= options_.retry.max_attempts) {
-            fail_promise(task.promise,
-                         EngineFault("retry budget exhausted after " +
-                                     std::to_string(task.attempts) +
-                                     " attempts; last failure: " + last_fault));
-            finish(tenant, Resolution::failed);
-            return;
+            // Without retry (a plain SaloSession) the failure itself is the
+            // answer; otherwise say that the budget ran out.
+            if (task.attempts > 1)
+                failure.error = std::make_exception_ptr(EngineFault(
+                    "retry budget exhausted after " + std::to_string(task.attempts) +
+                    " attempts; last failure on shard " + std::to_string(shard_index) +
+                    ": " + what_of(failure.error)));
+            return finish(task, Resolution::failed, failure.error);
         }
 
-        switch (backoff_wait(backoff_for(task), task.request.cancel,
-                             task.request.deadline)) {
+        switch (backoff_wait(backoff_for(task), request.cancel, request.deadline)) {
             case WaitOutcome::cancelled:
-                fail_promise(task.promise,
-                             RequestCancelled("request cancelled during retry backoff; "
-                                              "not retried"));
-                finish(tenant, Resolution::cancelled);
-                return;
+                return finish(task, Resolution::cancelled,
+                              std::make_exception_ptr(RequestCancelled(
+                                  "request cancelled during retry backoff; not retried")));
             case WaitOutcome::deadline:
-                fail_promise(task.promise,
-                             DeadlineExceeded("request deadline expired during retry "
-                                              "backoff; not retried"));
-                finish(tenant, Resolution::timed_out);
-                return;
+                return finish(task, Resolution::timed_out,
+                              std::make_exception_ptr(DeadlineExceeded(
+                                  "request deadline expired during retry backoff; not "
+                                  "retried")));
             case WaitOutcome::elapsed:
                 break;
         }
-        retried_.fetch_add(1, std::memory_order_relaxed);
         {
             // Fairness survives retries: the extra attempt is billed to the
             // tenant's DWRR deficit (the request itself stays with this
             // worker — it never re-enters a queue or jumps any line).
             std::lock_guard<std::mutex> lock(m_);
-            ++tenant_stats_[tenant].retried;
-            sched_.charge(tenant, task.cost);
+            ledger_.retried(request.tenant_id);
+            sched_.charge(request.tenant_id, task.cost);
         }
     }
 }
@@ -522,89 +424,10 @@ void ShardedSession::drain() {
     cv_idle_.wait(lock, [this] { return sched_.empty() && in_flight_ == 0; });
 }
 
-void ShardedSession::close() {
-    std::vector<std::thread> to_join;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        closed_ = true;
-        to_join = std::move(workers_);
-        workers_.clear();
-    }
-    cv_work_.notify_all();
-    cv_space_.notify_all();
-    const bool joined = !to_join.empty();
-    for (std::thread& t : to_join)
-        if (t.joinable()) t.join();
-#ifndef NDEBUG
-    if (joined) {
-        // Conservation law at the source, per tenant and globally (see
-        // SaloSession::close() for the waiting-submitter caveat).
-        std::lock_guard<std::mutex> lock(m_);
-        if (waiting_submits_ == 0) {
-            SALO_DEBUG_ASSERT(completed_ + failed_ + rejected_ + timed_out_ +
-                                  cancelled_ ==
-                              submitted_);
-            std::uint64_t tenant_submitted = 0;
-            std::uint64_t tenant_accounted = 0;
-            for (const auto& [name, t] : tenant_stats_) {
-                (void)name;
-                SALO_DEBUG_ASSERT(t.accounted() == t.submitted);
-                tenant_submitted += t.submitted;
-                tenant_accounted += t.accounted();
-            }
-            SALO_DEBUG_ASSERT(tenant_submitted == submitted_);
-            SALO_DEBUG_ASSERT(tenant_accounted ==
-                              completed_ + failed_ + rejected_ + timed_out_ +
-                                  cancelled_);
-        }
-    }
-#else
-    (void)joined;
-#endif
-}
-
-SessionStats ShardedSession::stats() const {
-    SessionStats s;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        s.submitted = submitted_;
-        s.completed = completed_;
-        s.failed = failed_;
-        s.rejected = rejected_;
-        s.timed_out = timed_out_;
-        s.cancelled = cancelled_;
-        s.shed_expired = shed_expired_;
-    }
-    s.retried = retried_.load(std::memory_order_relaxed);
-    s.failed_over = failed_over_.load(std::memory_order_relaxed);
-    s.quarantined_shard_events = health_.quarantined_events_total();
-    s.reintegrated_shard_events = health_.reintegrated_events_total();
-    for (const auto& shard : shards_) {
-        const PlanCacheStats pc = shard->engine.plan_cache_stats();
-        s.plan_cache.hits += pc.hits;
-        s.plan_cache.misses += pc.misses;
-        s.plan_cache.compiles += pc.compiles;
-        s.plan_cache.shared_resolved += pc.shared_resolved;
-        s.plan_cache.evictions += pc.evictions;
-        s.plan_cache.size += pc.size;
-        s.plan_cache.capacity += pc.capacity;
-    }
-    return s;
-}
-
-std::map<std::string, TenantStats> ShardedSession::tenant_stats() const {
-    std::lock_guard<std::mutex> lock(m_);
-    return tenant_stats_;
-}
-
 std::optional<TenantQueueSnapshot> ShardedSession::tenant_queue(
     const std::string& tenant) const {
     std::lock_guard<std::mutex> lock(m_);
     return sched_.tenant_snapshot(tenant);
-}
-
-std::vector<ShardHealthSnapshot> ShardedSession::shard_health() const {
-    return health_.snapshot(Clock::now());
 }
 
 }  // namespace salo

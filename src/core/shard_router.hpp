@@ -1,10 +1,20 @@
-// ShardedSession: the self-healing multi-engine serving tier.
+// ShardedSession: the self-healing multi-engine serving tier, and the one
+// whole-sequence front door (SaloSession, core/session.hpp, is its
+// one-shard form without retry).
 //
-// One SaloSession hardens one engine; a ShardedSession spreads traffic over
-// N independent SaloEngine shards — each with its own worker pool and
-// PlanCache — so a wedged or faulting engine degrades the tier instead of
-// taking it down:
+// Callers submit AttentionRequests (a compiled plan or a pattern, plus
+// Q/K/V) and immediately receive a std::future<LayerResult>. Router worker
+// threads carry each request end to end over N independent SaloEngine
+// shards — each with its own worker pool and PlanCache — so a wedged or
+// faulting engine degrades the tier instead of taking it down:
 //
+//   * execution shape: a request alone on its shard runs with the shard's
+//     whole pool (tile-level parallelism inside the request); requests
+//     sharing a shard each run the sequential path on their own router
+//     worker. Both shapes are bit-identical to SaloEngine::run;
+//   * deadlines and cancellation: expired or cancelled requests are shed
+//     before they reach a shard, and in-flight runs check the token and the
+//     deadline at tile boundaries;
 //   * routing: a pluggable policy picks the shard for every attempt —
 //     least-outstanding-cost (default; joins the shortest effective queue),
 //     consistent-hash by plan fingerprint (cache affinity: one shape
@@ -53,24 +63,62 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/fair_queue.hpp"
-#include "core/health.hpp"
-#include "core/session.hpp"
+#include "core/tier.hpp"
 
 namespace salo {
+
+/// One unit of serving work: a multi-head attention layer.
+struct AttentionRequest {
+    /// Pre-compiled plan (preferred: shareable, zero scheduler work). May
+    /// be null if `pattern` is set, in which case the tier compiles the
+    /// pattern through the serving shard's PlanCache.
+    CompiledPlanPtr plan;
+    std::optional<HybridPattern> pattern;
+
+    Tensor3<float> q, k, v;  ///< [heads][n][head_dim]
+    float scale = 1.0f;      ///< typically 1/sqrt(head_dim)
+
+    /// Per-request fidelity override (e.g. a golden-oracle request on a
+    /// functional-fidelity session). Defaults to the engine's fidelity.
+    std::optional<Fidelity> fidelity;
+
+    /// Admission class: interactive requests dispatch first and get the
+    /// full queue budget; batch requests shed first under overload.
+    Priority priority = Priority::interactive;
+
+    /// Owning tenant for fair scheduling and per-tenant quotas
+    /// (core/fair_queue.hpp). Empty = the default tenant.
+    std::string tenant_id;
+
+    /// Absolute deadline. Expired requests never reach an engine: they are
+    /// shed at admission or dispatch and their future fails with
+    /// DeadlineExceeded; mid-flight expiry stops at the next tile boundary.
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+
+    /// Shareable cancel flag (CancellationToken::make()); fires
+    /// RequestCancelled. Inert by default.
+    CancellationToken cancel;
+
+    /// Per-request fault injection (tests); overrides the engine-level
+    /// SaloConfig::fault_injector for this request only.
+    std::shared_ptr<const FaultInjector> fault_injector;
+};
+
+/// Convenience builders for the two request flavours.
+AttentionRequest make_request(CompiledPlanPtr plan, Tensor3<float> q, Tensor3<float> k,
+                              Tensor3<float> v, float scale);
+AttentionRequest make_request(HybridPattern pattern, Tensor3<float> q, Tensor3<float> k,
+                              Tensor3<float> v, float scale);
 
 enum class RoutingPolicy {
     least_outstanding_cost,  ///< shard with the least queued+running cost
@@ -132,18 +180,18 @@ struct ShardedSessionOptions {
     bool shared_plan_store = false;
 };
 
-class ShardedSession {
+class ShardedSession : public ServingTier {
 public:
     explicit ShardedSession(const SaloConfig& config = {},
                             ShardedSessionOptions options = {});
-    ~ShardedSession();  // close()
+    virtual ~ShardedSession();  // close(); virtual: SaloSession derives from it
 
-    ShardedSession(const ShardedSession&) = delete;
-    ShardedSession& operator=(const ShardedSession&) = delete;
-
-    /// Same contract as SaloSession::submit — every asynchronous failure is
-    /// a typed SaloError through the future; submit throws only
-    /// SessionClosed / ContractViolation. Thread-safe.
+    /// Enqueue a request; the future resolves when it has been executed or
+    /// failed. Every asynchronous failure is a typed SaloError through the
+    /// future (core/errors.hpp); submit throws only SessionClosed (after
+    /// close()) and ContractViolation (structurally invalid request).
+    /// Blocking under full queues follows the admission policies.
+    /// Thread-safe.
     std::future<LayerResult> submit(AttentionRequest request);
     std::future<LayerResult> submit(CompiledPlanPtr plan, Tensor3<float> q,
                                     Tensor3<float> k, Tensor3<float> v, float scale);
@@ -157,47 +205,10 @@ public:
     /// Block until every submitted request has resolved.
     void drain();
 
-    /// Stop accepting, serve everything queued, join the router workers.
-    /// Idempotent; the destructor calls it.
-    void close();
-
-    /// Tier-wide stats. plan_cache aggregates over shards; retried /
-    /// failed_over / quarantined_shard_events / reintegrated_shard_events
-    /// are live here (always 0 on a plain SaloSession).
-    SessionStats stats() const;
-
-    /// Per-tenant breakdown of the serving counters. Entries persist after
-    /// the scheduler reclaims an idle tenant's queue state; summing any
-    /// field over tenants reproduces the global stats() value, and each
-    /// tenant satisfies the conservation law independently.
-    std::map<std::string, TenantStats> tenant_stats() const;
-
     /// Live scheduler view of one tenant (nullopt once reclaimed).
     std::optional<TenantQueueSnapshot> tenant_queue(const std::string& tenant) const;
 
-    /// The shared compile tier (null unless options.shared_plan_store).
-    /// Its stats().compiles is the tier-wide scheduler-pass count.
-    std::shared_ptr<PlanCache> shared_plan_store() const { return shared_store_; }
-
-    /// Per-shard breaker states and counters.
-    std::vector<ShardHealthSnapshot> shard_health() const;
-
-    int num_shards() const { return static_cast<int>(shards_.size()); }
-    const SaloEngine& shard_engine(int shard) const {
-        return shards_[static_cast<std::size_t>(shard)]->engine;
-    }
-    const SaloConfig& config() const { return shards_.front()->engine.config(); }
-
 private:
-    using Clock = std::chrono::steady_clock;
-
-    struct Shard {
-        explicit Shard(const SaloConfig& config) : engine(config) {}
-        SaloEngine engine;
-        std::atomic<std::uint64_t> outstanding_cost{0};
-        std::atomic<int> active{0};
-    };
-
     struct Task {
         AttentionRequest request;
         std::promise<LayerResult> promise;
@@ -208,15 +219,12 @@ private:
         int last_shard = -1;
     };
 
-    /// How one request finally resolved (exactly one per task).
-    enum class Resolution { completed, failed, timed_out, cancelled };
-
     enum class WaitOutcome { elapsed, cancelled, deadline };
 
     void worker_main();
     void serve_task(Task& task);
-    void finish(const std::string& tenant, Resolution resolution,
-                bool shed_expired = false);
+    /// Fail the task's future with `error` (when set) and count it.
+    void finish(Task& task, Resolution resolution, std::exception_ptr error = nullptr);
     int pick_shard(const Task& task, Clock::time_point now);
     Clock::duration backoff_for(const Task& task) const;
     /// Poll-sleep for `d`, aborting the moment the token fires or the
@@ -226,14 +234,8 @@ private:
     AdmissionSnapshot snapshot_locked() const;
 
     ShardedSessionOptions options_;
-    std::shared_ptr<PlanCache> shared_store_;  ///< before shards_ (they attach to it)
-    std::vector<std::unique_ptr<Shard>> shards_;
-    mutable HealthSupervisor health_;
 
-    mutable std::mutex m_;
-    std::condition_variable cv_work_;
-    std::condition_variable cv_space_;
-    std::condition_variable cv_idle_;
+    // Guarded by m_.
     /// DWRR arbiter over per-tenant queues; holds only costs. The actual
     /// Task objects live in task_queues_, pushed and popped in lockstep
     /// with the scheduler (same tenant, same class, FIFO), so the
@@ -242,28 +244,9 @@ private:
     std::unordered_map<std::string, std::array<std::deque<Task>, 2>> task_queues_;
     std::uint64_t in_flight_cost_ = 0;
     std::size_t in_flight_ = 0;
-    /// Submitters parked in an admission wait (counted in submitted_ but
-    /// not yet resolved); close() skips the conservation debug-assert
-    /// while any exist (see SaloSession::close()).
-    std::size_t waiting_submits_ = 0;
-    bool closed_ = false;
-
-    std::map<std::string, TenantStats> tenant_stats_;
-
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t timed_out_ = 0;
-    std::uint64_t cancelled_ = 0;
-    std::uint64_t shed_expired_ = 0;
     std::uint64_t next_task_id_ = 0;
 
-    std::atomic<std::uint64_t> retried_{0};
-    std::atomic<std::uint64_t> failed_over_{0};
     std::atomic<std::uint64_t> round_robin_{0};
-
-    std::vector<std::thread> workers_;  ///< last member: joined by close()
 };
 
 }  // namespace salo

@@ -281,13 +281,15 @@ TEST(PlanCacheTest, ThrowingCompileWakesWaitersAndRetries) {
     // successfully — not sleep forever on a key nobody is compiling.
     // (A regression here fails as a ctest hang/timeout.)
     std::atomic<int> calls{0};
+    std::atomic<bool> leader_compiling{false};
     std::atomic<bool> waiter_started{false};
     PlanCache cache(8, [&](const HybridPattern& pattern, int head_dim,
                            const SaloConfig& config) -> CompiledPlanPtr {
         if (calls.fetch_add(1) == 0) {
-            // First (leader) call: hold until the second thread has at
-            // least called into the cache — it then waits on the in-flight
-            // key — and fail.
+            // First (leader) call: announce that the key is in flight, hold
+            // until the second thread has at least called into the cache —
+            // it then waits on the in-flight key — and fail.
+            leader_compiling.store(true);
             while (!waiter_started.load()) std::this_thread::yield();
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             throw EngineFault("injected compile failure");
@@ -307,6 +309,9 @@ TEST(PlanCacheTest, ThrowingCompileWakesWaitersAndRetries) {
     });
     CompiledPlanPtr adopted;
     std::thread waiter([&] {
+        // Call in only once the leader owns the in-flight key, so this
+        // thread is always the waiter, never the (throwing) leader.
+        while (!leader_compiling.load()) std::this_thread::yield();
         waiter_started.store(true);
         adopted = cache.get_or_compile(p, 16, config);
     });

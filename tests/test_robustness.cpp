@@ -507,12 +507,11 @@ TEST(Robustness, ShardedTierConservationUnderMixedOutcomes) {
 }
 
 TEST(Robustness, LegacyMaxQueueStillBlocksUntilSpace) {
-    // The legacy SessionOptions::max_queue bound folds into the admission
-    // policy as depth-only block mode: submits past the bound wait and are
-    // eventually served, never rejected.
+    // A depth-only bound in the default block mode: submits past the bound
+    // wait and are eventually served, never rejected.
     const Work work;
     SessionOptions options;
-    options.max_queue = 1;
+    options.admission.max_queue = 1;
     SaloSession session(serving_config(1), options);
     std::vector<std::future<LayerResult>> futures;
     for (int i = 0; i < 6; ++i) futures.push_back(session.submit(work.request()));

@@ -247,7 +247,7 @@ TEST(Session, DrainWaitsForAllSubmitted) {
 TEST(Session, BoundedQueueBlocksAndRecovers) {
     const AttentionWorkload w = longformer_small(96, 16, 2, 16, 1);
     SessionOptions opts;
-    opts.max_queue = 2;
+    opts.admission.max_queue = 2;
     SaloSession session(serving_config(2), opts);
     std::vector<std::future<LayerResult>> futures;
     for (int i = 0; i < 8; ++i) {

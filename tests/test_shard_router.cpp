@@ -772,11 +772,31 @@ TEST(TenantFairness, SharedPlanStoreCompilesOnceTierWide) {
 
     const PlanCacheStats store = tier.shared_plan_store()->stats();
     EXPECT_EQ(store.compiles, 1u) << "scheduler ran more than once tier-wide";
+    for (int shard = 0; shard < tier.num_shards(); ++shard)
+        EXPECT_EQ(tier.shard_engine(shard).plan_cache_stats().compiles, 0u)
+            << "shard " << shard << "'s local cache ran the scheduler";
     const SessionStats s = tier.stats();
-    EXPECT_EQ(s.plan_cache.compiles, 0u) << "a shard-local cache ran the scheduler";
     EXPECT_GE(s.plan_cache.shared_resolved, 1u);
     EXPECT_EQ(s.completed, 16u);
     expect_conserved(s);
+}
+
+TEST(TenantFairness, TierStatsCountSharedStoreCompiles) {
+    // stats().plan_cache.compiles is the tier's scheduler-pass count, so
+    // with a shared store it must include the store's single compile (it
+    // used to sum only the shard caches and read 0).
+    const Work work;
+    ShardedSessionOptions options;
+    options.num_shards = 4;
+    options.shared_plan_store = true;
+    ShardedSession tier(serving_config(1), options);
+    std::vector<std::future<LayerResult>> futures;
+    for (int i = 0; i < 8; ++i) futures.push_back(tier.submit(work.request()));
+    for (auto& f : futures) EXPECT_EQ(f.get().output.count(), 1);
+    tier.close();
+
+    EXPECT_EQ(tier.shared_plan_store()->stats().compiles, 1u);
+    EXPECT_EQ(tier.stats().plan_cache.compiles, 1u);
 }
 
 TEST(TenantFairness, WithoutSharedStoreEachShardCompiles) {
