@@ -6,15 +6,17 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "sim/kernels.hpp"
 
 namespace salo {
 
 // ---------------------------------------------------------------------------
-// DecodeState
+// BasicDecodeState
 // ---------------------------------------------------------------------------
 
-DecodeState::DecodeState(int heads, int head_dim, int window_span,
-                         std::vector<int> global_tokens)
+template <typename T>
+BasicDecodeState<T>::BasicDecodeState(int heads, int head_dim, int window_span,
+                                      std::vector<int> global_tokens)
     : heads_(heads), head_dim_(head_dim), span_(window_span),
       globals_(std::move(global_tokens)) {
     SALO_EXPECTS(heads_ >= 1);
@@ -23,43 +25,56 @@ DecodeState::DecodeState(int heads, int head_dim, int window_span,
     std::sort(globals_.begin(), globals_.end());
     globals_.erase(std::unique(globals_.begin(), globals_.end()), globals_.end());
     for (int g : globals_) SALO_EXPECTS(g >= 0);
-    k_ring_ = Tensor3<float>(heads_, span_, head_dim_);
-    v_ring_ = Tensor3<float>(heads_, span_, head_dim_);
+    k_ring_ = Tensor3<T>(heads_, span_, head_dim_);
+    v_ring_ = Tensor3<T>(heads_, span_, head_dim_);
     const int ng = static_cast<int>(globals_.size());
-    k_pin_ = Tensor3<float>(heads_, ng, head_dim_);
-    v_pin_ = Tensor3<float>(heads_, ng, head_dim_);
+    k_pin_ = Tensor3<T>(heads_, ng, head_dim_);
+    v_pin_ = Tensor3<T>(heads_, ng, head_dim_);
 }
 
-int DecodeState::window_lo() const { return std::max(0, length_ - span_); }
+template <typename T>
+int BasicDecodeState<T>::window_lo() const {
+    return std::max(0, length_ - span_);
+}
 
-int DecodeState::num_pinned() const {
+template <typename T>
+int BasicDecodeState<T>::num_pinned() const {
     return static_cast<int>(std::lower_bound(globals_.begin(), globals_.end(), length_) -
                             globals_.begin());
 }
 
-int DecodeState::compact_rows() const { return num_pinned() + (length_ - window_lo()); }
+template <typename T>
+int BasicDecodeState<T>::compact_rows() const {
+    return num_pinned() + (length_ - window_lo());
+}
 
-void DecodeState::append(const Matrix<float>& k_row, const Matrix<float>& v_row) {
+template <typename T>
+void BasicDecodeState<T>::append(const Matrix<float>& k_row, const Matrix<float>& v_row) {
     SALO_EXPECTS(k_row.rows() == heads_ && k_row.cols() == head_dim_);
     SALO_EXPECTS(v_row.rows() == heads_ && v_row.cols() == head_dim_);
     const int slot = length_ % span_;  // overwriting = window-boundary eviction
     const auto pin = std::lower_bound(globals_.begin(), globals_.end(), length_);
     const bool is_global = pin != globals_.end() && *pin == length_;
     const int pin_idx = static_cast<int>(pin - globals_.begin());
+    const auto d = static_cast<std::size_t>(head_dim_);
+    const auto store = [&](const Matrix<float>& src, Tensor3<T>& ring, Tensor3<T>& pinned,
+                           int h) {
+        T* dst = ring[h].row(slot).data();
+        if constexpr (std::is_same_v<T, float>)
+            std::copy_n(src.row(h).data(), d, dst);
+        else
+            kernels::quantize_i8(src.row(h).data(), d, 1.0f, dst);
+        if (is_global) std::copy_n(dst, d, pinned[h].row(pin_idx).data());
+    };
     for (int h = 0; h < heads_; ++h) {
-        for (int t = 0; t < head_dim_; ++t) {
-            k_ring_[h](slot, t) = k_row(h, t);
-            v_ring_[h](slot, t) = v_row(h, t);
-            if (is_global) {
-                k_pin_[h](pin_idx, t) = k_row(h, t);
-                v_pin_[h](pin_idx, t) = v_row(h, t);
-            }
-        }
+        store(k_row, k_ring_, k_pin_, h);
+        store(v_row, v_ring_, v_pin_, h);
     }
     ++length_;
 }
 
-int DecodeState::compact_index(int j) const {
+template <typename T>
+int BasicDecodeState<T>::compact_index(int j) const {
     SALO_EXPECTS(j >= 0 && j < length_);
     if (j >= window_lo()) return num_pinned() + (j - window_lo());
     // Evicted from the ring: only a pinned global survives.
@@ -68,30 +83,32 @@ int DecodeState::compact_index(int j) const {
     return static_cast<int>(pin - globals_.begin());
 }
 
-std::pair<Tensor3<float>, Tensor3<float>> DecodeState::assemble() const {
+template <typename T>
+std::pair<Tensor3<T>, Tensor3<T>> BasicDecodeState<T>::assemble() const {
     const int np = num_pinned();
     const int lo = window_lo();
     const int rows = compact_rows();
-    Tensor3<float> k(heads_, rows, head_dim_);
-    Tensor3<float> v(heads_, rows, head_dim_);
+    const auto d = static_cast<std::size_t>(head_dim_);
+    Tensor3<T> k(heads_, rows, head_dim_);
+    Tensor3<T> v(heads_, rows, head_dim_);
     for (int h = 0; h < heads_; ++h) {
-        for (int p = 0; p < np; ++p) {
-            for (int t = 0; t < head_dim_; ++t) {
-                k[h](p, t) = k_pin_[h](p, t);
-                v[h](p, t) = v_pin_[h](p, t);
-            }
-        }
+        // Pinned rows are contiguous and already in compact order.
+        std::copy_n(k_pin_[h].data().data(), static_cast<std::size_t>(np) * d,
+                    k[h].data().data());
+        std::copy_n(v_pin_[h].data().data(), static_cast<std::size_t>(np) * d,
+                    v[h].data().data());
         for (int j = lo; j < length_; ++j) {
             const int slot = j % span_;
             const int r = np + (j - lo);
-            for (int t = 0; t < head_dim_; ++t) {
-                k[h](r, t) = k_ring_[h](slot, t);
-                v[h](r, t) = v_ring_[h](slot, t);
-            }
+            std::copy_n(k_ring_[h].row(slot).data(), d, k[h].row(r).data());
+            std::copy_n(v_ring_[h].row(slot).data(), d, v[h].row(r).data());
         }
     }
     return {std::move(k), std::move(v)};
 }
+
+template class BasicDecodeState<float>;
+template class BasicDecodeState<std::int8_t>;
 
 Matrix<float> streaming_masked_attention(const Matrix<float>& q, const Matrix<float>& k,
                                          const Matrix<float>& v, float scale,

@@ -14,8 +14,11 @@
 // buffer of the last `window_span` positions plus pinned copies of the
 // global tokens — so one decode step appends one row and assembles a
 // compact K/V whose size is bounded by the pattern, not the prefix length.
+// QuantizedDecodeState is the same state holding int8 Q3.4 rows.
 #pragma once
 
+#include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,7 +35,13 @@ Matrix<float> streaming_masked_attention(const Matrix<float>& q, const Matrix<fl
                                          const Matrix<float>& v, float scale,
                                          const AttendFn& attends, int block_size);
 
-/// Per-stream K/V running state for causal streaming decode.
+/// Per-stream K/V running state for causal streaming decode, storing rows
+/// as element type T (float or int8_t). Float (DecodeState) keeps the
+/// caller's rows as given; int8 (QuantizedDecodeState) keeps them as
+/// InputFx raw values, quantized once when the row is appended — the way
+/// the accelerator's on-chip buffer holds K/V. Quantization is elementwise,
+/// so the int8 rows are exactly the bits quantize<InputFx> makes of the
+/// float rows.
 ///
 /// Retention contract: after append()ing positions 0..L-1, the state can
 /// reproduce every key/value row a causal band set with
@@ -51,12 +60,16 @@ Matrix<float> streaming_masked_attention(const Matrix<float>& q, const Matrix<fl
 /// is rewritten against. A global inside the current window appears in
 /// both sections; the copies are bit-identical, so either reference
 /// produces the same result.
-class DecodeState {
+template <typename T>
+class BasicDecodeState {
+    static_assert(std::is_same_v<T, float> || std::is_same_v<T, std::int8_t>);
+
 public:
     /// `global_tokens` are absolute positions (sorted + deduplicated here);
     /// they must all be < n of any pattern this state serves, but may be
     /// anywhere relative to window_span — pinning keeps evicted globals.
-    DecodeState(int heads, int head_dim, int window_span, std::vector<int> global_tokens);
+    BasicDecodeState(int heads, int head_dim, int window_span,
+                     std::vector<int> global_tokens);
 
     int heads() const { return heads_; }
     int head_dim() const { return head_dim_; }
@@ -83,7 +96,7 @@ public:
     int compact_index(int j) const;
 
     /// Materialize the compact K/V: [heads][compact_rows()][head_dim].
-    std::pair<Tensor3<float>, Tensor3<float>> assemble() const;
+    std::pair<Tensor3<T>, Tensor3<T>> assemble() const;
 
 private:
     int heads_;
@@ -91,8 +104,13 @@ private:
     int span_;
     std::vector<int> globals_;
     int length_ = 0;
-    Tensor3<float> k_ring_, v_ring_;  ///< [heads][span][d], slot = p % span
-    Tensor3<float> k_pin_, v_pin_;    ///< [heads][globals][d], sorted order
+    Tensor3<T> k_ring_, v_ring_;  ///< [heads][span][d], slot = p % span
+    Tensor3<T> k_pin_, v_pin_;    ///< [heads][globals][d], sorted order
 };
+
+/// Float rows: golden-fidelity streams and callers that hold float K/V.
+using DecodeState = BasicDecodeState<float>;
+/// InputFx rows, quantized at append: the hardware-fidelity streams.
+using QuantizedDecodeState = BasicDecodeState<std::int8_t>;
 
 }  // namespace salo

@@ -80,7 +80,8 @@ StreamId DecodeSession::open_stream(const HybridPattern& pattern, int heads,
     const StreamId id = next_stream_id_++;
     const int shard = pick_shard(id, now);
     streams_.emplace(id, std::make_unique<Stream>(pattern, heads, head_dim, scale,
-                                                  std::move(tenant_id), shard));
+                                                  std::move(tenant_id), shard,
+                                                  config().fidelity));
     return id;
 }
 
@@ -205,17 +206,7 @@ Resolution DecodeSession::execute(ExecItem& item, int thread_budget) {
 
     FailedAttempt failure;
     try {
-        // Commit the position to the append log first: whatever happens
-        // below, position t is spoken for (a failure evicts the stream, so
-        // the log never serves a later step with a hole in it).
-        stream.state.append(request.k_row, request.v_row);
-        const int length = stream.state.length();
-        const HybridPattern prefix = prefix_pattern(stream.pattern, length);
-        const CompiledPlanPtr micro = engine.compile_step(prefix, stream.head_dim);
-        auto [k_compact, v_compact] = stream.state.assemble();
-
         RunOptions run_options;
-        run_options.fidelity = request.fidelity;
         run_options.thread_budget = thread_budget;
         run_options.cancel = request.cancel;
         run_options.deadline = request.deadline;
@@ -223,8 +214,20 @@ Resolution DecodeSession::execute(ExecItem& item, int thread_budget) {
         // construction; this only carries a per-step override.
         run_options.fault_injector = request.fault_injector.get();
 
-        promise.set_value(engine.run_step(*micro, request.q_row, k_compact, v_compact,
-                                          stream.scale, run_options));
+        promise.set_value(std::visit(
+            [&](auto& state) {
+                // Commit the position to the append log first: whatever
+                // happens below, position t is spoken for (a failure evicts
+                // the stream, so the log never serves a later step with a
+                // hole in it).
+                state.append(request.k_row, request.v_row);
+                const HybridPattern prefix = prefix_pattern(stream.pattern, state.length());
+                const CompiledPlanPtr micro = engine.compile_step(prefix, stream.head_dim);
+                const auto [k_compact, v_compact] = state.assemble();
+                return engine.run_step(*micro, request.q_row, k_compact, v_compact,
+                                       stream.scale, run_options);
+            },
+            stream.state));
         health_.record(stream.shard, CircuitBreaker::Outcome::success, Clock::now());
         return Resolution::completed;
     } catch (...) {

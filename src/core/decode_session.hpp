@@ -4,11 +4,12 @@
 // Where ShardedSession serves whole sequences, a DecodeSession serves *steps*:
 // a caller opens a stream (a fixed decode-compatible pattern, head count,
 // head dimension), then submits one query row at a time; every step appends
-// that position's K/V rows to the stream's DecodeState (ring window +
+// that position's K/V rows to the stream's decode state (ring window +
 // pinned globals, attention/streaming.hpp) and computes only the new row's
 // tiles through the engine's micro-plan path (SaloEngine::run_step) — the
 // full-pattern schedule is compiled once per shape and each step derivation
-// is cached, so steady-state decode runs no scheduler work at all.
+// is cached, so steady-state decode runs no scheduler work at all. Outside
+// golden fidelity the state holds int8 Q3.4 rows, quantized once at append.
 //
 //   DecodeSession session(config, options);
 //   StreamId s = session.open_stream(pattern, heads, head_dim, scale);
@@ -51,6 +52,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "attention/streaming.hpp"
@@ -62,12 +64,13 @@ using StreamId = std::uint64_t;
 
 /// One decode step: the new position's query/key/value rows, one row per
 /// head (all heads x head_dim), plus the per-step robustness knobs of
-/// AttentionRequest. The tenant is the stream's, fixed at open_stream().
+/// AttentionRequest. The tenant is the stream's, fixed at open_stream();
+/// the fidelity is the session's (SaloConfig::fidelity), fixed with the
+/// stream's K/V storage format.
 struct StepRequest {
     Matrix<float> q_row;
     Matrix<float> k_row;
     Matrix<float> v_row;
-    std::optional<Fidelity> fidelity;
     std::optional<std::chrono::steady_clock::time_point> deadline;
     CancellationToken cancel;
     std::shared_ptr<const FaultInjector> fault_injector;
@@ -136,18 +139,27 @@ private:
         float scale = 1.0f;
         std::string tenant;
         int shard = 0;
-        DecodeState state;
+        /// K/V storage, chosen once at open_stream() from the session's
+        /// fidelity: float rows for the golden oracle, InputFx int8 rows
+        /// (quantized at append) for the hardware fidelities.
+        std::variant<DecodeState, QuantizedDecodeState> state;
         std::deque<PendingStep> pending;
         std::uint64_t accepted_steps = 0;  ///< total step() calls admitted
         bool executing = false;  ///< front step is in the current batch
         bool queued = false;     ///< stream id is in ready_
         bool evicted = false;
 
-        Stream(HybridPattern p, int h, int d, float sc, std::string t, int sh)
+        Stream(HybridPattern p, int h, int d, float sc, std::string t, int sh,
+               Fidelity fidelity)
             : pattern(std::move(p)), heads(h), head_dim(d), scale(sc),
-              tenant(std::move(t)), shard(sh),
-              state(h, d, decode_window_span(pattern.bands()),
-                    pattern.global_tokens()) {}
+              tenant(std::move(t)), shard(sh), state(make_state(fidelity)) {}
+
+        std::variant<DecodeState, QuantizedDecodeState> make_state(Fidelity fidelity) const {
+            const int span = decode_window_span(pattern.bands());
+            if (fidelity == Fidelity::kGolden)
+                return DecodeState(heads, head_dim, span, pattern.global_tokens());
+            return QuantizedDecodeState(heads, head_dim, span, pattern.global_tokens());
+        }
     };
 
     /// One stream's step lifted out of the queues for execution.

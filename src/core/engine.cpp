@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "attention/golden.hpp"
 #include "numeric/quantize.hpp"
 #include "sim/cycle_accurate.hpp"
+#include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
 #include "sim/wsm.hpp"
 
@@ -59,6 +61,58 @@ private:
     TileCostAccountant accountant_;
     CycleBreakdown last_breakdown_;
 };
+
+/// Golden-fidelity decode step for one head: masked_attention's row loop
+/// for row `position`, with absolute key positions mapped into the compact
+/// layout. The compact rows are copies of the absolute rows and the
+/// iteration stays ascending-j, so every float op matches golden() over
+/// the full prefix.
+Matrix<float> golden_step_row(const CompiledPlan& micro, const Matrix<float>& q_row,
+                              int head, const Matrix<float>& k, const Matrix<float>& v,
+                              float scale) {
+    const StepGeometry& sg = micro.step();
+    const int d = micro.head_dim();
+    const HybridPattern& pattern = micro.pattern();
+    const std::vector<int>& globals = pattern.global_tokens();
+    const int t = sg.position;
+    const auto compact_of = [&](int j) {
+        if (j >= sg.window_lo) return sg.num_globals + (j - sg.window_lo);
+        const auto pin = std::lower_bound(globals.begin(), globals.end(), j);
+        SALO_ASSERT(pin != globals.end() && *pin == j);
+        return static_cast<int>(pin - globals.begin());
+    };
+    std::vector<int> cols;
+    std::vector<double> scores;
+    for (int j = 0; j <= t; ++j)
+        if (pattern.attends(t, j)) cols.push_back(j);
+    Matrix<float> out(1, d, 0.0f);
+    if (!cols.empty()) {
+        double mx = -std::numeric_limits<double>::infinity();
+        for (int j : cols) {
+            const int cj = compact_of(j);
+            double dot = 0.0;
+            for (int x = 0; x < d; ++x)
+                dot += static_cast<double>(q_row(head, x)) *
+                       static_cast<double>(k(cj, x));
+            dot *= scale;
+            scores.push_back(dot);
+            mx = std::max(mx, dot);
+        }
+        double sum = 0.0;
+        for (double& sc : scores) {
+            sc = std::exp(sc - mx);
+            sum += sc;
+        }
+        SALO_ASSERT(sum > 0.0);
+        for (std::size_t idx = 0; idx < cols.size(); ++idx) {
+            const double w = scores[idx] / sum;
+            const int cj = compact_of(cols[idx]);
+            for (int x = 0; x < d; ++x)
+                out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
+        }
+    }
+    return out;
+}
 
 }  // namespace
 
@@ -130,11 +184,10 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
         return result;
     }
 
-    // Quantize at the accelerator boundary; the 1/sqrt(d) scaling is folded
-    // into Q (driver-side preprocessing, see DESIGN.md).
-    Matrix<float> q_scaled = q;
-    for (auto& x : q_scaled.data()) x *= scale;
-    const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
+    // Quantize at the accelerator boundary. The 1/sqrt(d) scaling belongs to
+    // Q on the host side, before the array; the quantizer applies it on the
+    // fly instead of scaling a copy of Q.
+    const Matrix<std::int8_t> qq = quantize_input(q, scale);
     const Matrix<std::int8_t> kq = quantize<InputFx>(k);
     const Matrix<std::int8_t> vq = quantize<InputFx>(v);
 
@@ -347,71 +400,34 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
 // Incremental decode: one query row against the compact K/V layout.
 // ---------------------------------------------------------------------------
 
+template <typename T>
 HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                     int head, const Matrix<float>& k,
-                                     const Matrix<float>& v, float scale,
-                                     Fidelity fidelity, const RunControl* ctl) const {
-    const StepGeometry& sg = micro.step();
+                                     int head, const Matrix<T>& k, const Matrix<T>& v,
+                                     float scale, Fidelity fidelity,
+                                     const RunControl* ctl) const {
     const int d = micro.head_dim();
-
-    if (fidelity == Fidelity::kGolden) {
-        if (ctl != nullptr) ctl->check(-1);
-        // masked_attention's row loop for row t, with absolute key
-        // positions mapped into the compact layout. The compact rows are
-        // copies of the absolute rows and the iteration stays ascending-j,
-        // so every float op matches golden() over the full prefix.
-        const HybridPattern& pattern = micro.pattern();
-        const std::vector<int>& globals = pattern.global_tokens();
-        const int t = sg.position;
-        const auto compact_of = [&](int j) {
-            if (j >= sg.window_lo) return sg.num_globals + (j - sg.window_lo);
-            const auto pin = std::lower_bound(globals.begin(), globals.end(), j);
-            SALO_ASSERT(pin != globals.end() && *pin == j);
-            return static_cast<int>(pin - globals.begin());
-        };
-        std::vector<int> cols;
-        std::vector<double> scores;
-        for (int j = 0; j <= t; ++j)
-            if (pattern.attends(t, j)) cols.push_back(j);
-        Matrix<float> out(1, d, 0.0f);
-        if (!cols.empty()) {
-            double mx = -std::numeric_limits<double>::infinity();
-            for (int j : cols) {
-                const int cj = compact_of(j);
-                double dot = 0.0;
-                for (int x = 0; x < d; ++x)
-                    dot += static_cast<double>(q_row(head, x)) *
-                           static_cast<double>(k(cj, x));
-                dot *= scale;
-                scores.push_back(dot);
-                mx = std::max(mx, dot);
-            }
-            double sum = 0.0;
-            for (double& sc : scores) {
-                sc = std::exp(sc - mx);
-                sum += sc;
-            }
-            SALO_ASSERT(sum > 0.0);
-            for (std::size_t idx = 0; idx < cols.size(); ++idx) {
-                const double w = scores[idx] / sum;
-                const int cj = compact_of(cols[idx]);
-                for (int x = 0; x < d; ++x)
-                    out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
-            }
+    if constexpr (std::is_same_v<T, float>) {
+        if (fidelity == Fidelity::kGolden) {
+            if (ctl != nullptr) ctl->check(-1);
+            HeadResult result;
+            result.output = golden_step_row(micro, q_row, head, k, v, scale);
+            return result;
         }
-        HeadResult result;
-        result.output = std::move(out);
-        return result;
     }
 
     // Quantization is elementwise, so the single scaled query row and the
     // compact K/V rows quantize to exactly the bits the full-prefix run
-    // produces for the same rows. A step is a one-row Q, so the sequential
-    // tile loop runs it unchanged.
-    Matrix<float> q_scaled(1, d, 0.0f);
-    for (int x = 0; x < d; ++x) q_scaled(0, x) = q_row(head, x) * scale;
-    return run_head_sequential(micro.plan(), fidelity, quantize<InputFx>(q_scaled),
-                               quantize<InputFx>(k), quantize<InputFx>(v), ctl);
+    // produces for the same rows (int8 K/V arrive already quantized, by the
+    // same kernel at append). A step is a one-row Q, so the sequential tile
+    // loop runs it unchanged.
+    Matrix<std::int8_t> qq(1, d);
+    kernels::quantize_i8(q_row.row(head).data(), static_cast<std::size_t>(d), scale,
+                         qq.data().data());
+    if constexpr (std::is_same_v<T, float>)
+        return run_head_sequential(micro.plan(), fidelity, qq, quantize<InputFx>(k),
+                                   quantize<InputFx>(v), ctl);
+    else
+        return run_head_sequential(micro.plan(), fidelity, qq, k, v, ctl);
 }
 
 CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
@@ -419,9 +435,10 @@ CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
     return plan_cache_.get_or_derive_step(pattern, head_dim, config_);
 }
 
+template <typename T>
 StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                const Tensor3<float>& k, const Tensor3<float>& v,
-                                float scale, const RunOptions& options) const {
+                                const Tensor3<T>& k, const Tensor3<T>& v, float scale,
+                                const RunOptions& options) const {
     check_compatible(micro);
     SALO_EXPECTS(micro.is_step());
     const StepGeometry& sg = micro.step();
@@ -434,6 +451,8 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
     SALO_EXPECTS(k.cols() == d && v.cols() == d);
 
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
+    // The golden oracle is float attention; quantized K/V cannot feed it.
+    if constexpr (!std::is_same_v<T, float>) SALO_EXPECTS(fidelity != Fidelity::kGolden);
     const RunControl ctl_storage = run_control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
 
@@ -463,6 +482,15 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
     }
     return result;
 }
+
+template StepResult SaloEngine::run_step<float>(const CompiledPlan&, const Matrix<float>&,
+                                                const Tensor3<float>&, const Tensor3<float>&,
+                                                float, const RunOptions&) const;
+template StepResult SaloEngine::run_step<std::int8_t>(const CompiledPlan&,
+                                                      const Matrix<float>&,
+                                                      const Tensor3<std::int8_t>&,
+                                                      const Tensor3<std::int8_t>&, float,
+                                                      const RunOptions&) const;
 
 // ---------------------------------------------------------------------------
 // Compiled-plan entry points.

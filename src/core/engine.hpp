@@ -151,15 +151,22 @@ public:
     CompiledPlanPtr compile_step(const HybridPattern& pattern, int head_dim) const;
 
     /// Execute one decode step: query row `position` of the micro-plan's
-    /// pattern against the compact K/V layout DecodeState::assemble()
+    /// pattern against the compact K/V layout BasicDecodeState::assemble()
     /// produces. `q_row` is heads x head_dim (one query row per head);
     /// `k`/`v` are [heads][compact_rows][head_dim]. Bit-identical to row
     /// `position` of run() over the full prefix at the same fidelity:
     /// the micro-plan replays exactly the tiles/parts the full schedule
     /// emits for that row, in the same order, through the same integer
     /// datapath. Robustness hooks behave as in run().
+    ///
+    /// T is the K/V element type (instantiated for float and int8_t).
+    /// Float K/V (DecodeState) is quantized here, per step; int8 K/V
+    /// (QuantizedDecodeState) already holds the InputFx raw values and
+    /// skips that work. The golden oracle needs float K/V, so int8 K/V
+    /// under kGolden is a ContractViolation.
+    template <typename T>
     StepResult run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
-                        const Tensor3<float>& k, const Tensor3<float>& v, float scale,
+                        const Tensor3<T>& k, const Tensor3<T>& v, float scale,
                         const RunOptions& options = {}) const;
 
     /// Cumulative statistics of the internal PlanCache serving compile()
@@ -263,8 +270,9 @@ private:
     /// One head of one decode step: the golden row, or the sequential tile
     /// loop over a one-row Q (micro-plans are a handful of tiles, so there
     /// is nothing to fork over inside a head).
+    template <typename T>
     HeadResult run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                             int head, const Matrix<float>& k, const Matrix<float>& v,
+                             int head, const Matrix<T>& k, const Matrix<T>& v,
                              float scale, Fidelity fidelity,
                              const RunControl* ctl) const;
 

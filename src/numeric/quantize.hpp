@@ -3,17 +3,36 @@
 // accelerator's fixed-point world.
 #pragma once
 
+#include <cstdint>
+#include <type_traits>
+
 #include "numeric/fixed.hpp"
+#include "sim/kernels.hpp"
 #include "tensor/matrix.hpp"
 
 namespace salo {
 
+/// InputFx raw values of float(v * scale) for every element v of `m`: the
+/// accelerator's input quantizer with the host-side 1/sqrt(d) prescale
+/// fused in. Bit-identical to InputFx::from_float(v * scale) per element (the
+/// dispatched kernels::quantize_i8).
+inline Matrix<std::int8_t> quantize_input(const Matrix<float>& m, float scale) {
+    Matrix<std::int8_t> out(m.rows(), m.cols());
+    kernels::quantize_i8(m.data().data(), m.size(), scale, out.data().data());
+    return out;
+}
+
 /// Quantize a float matrix to the raw storage of format Fx (saturating,
-/// round-to-nearest). The result holds raw Q-format integers.
+/// round-to-nearest). The result holds raw Q-format integers. The paper's
+/// input format runs the SIMD quantizer; other formats convert per element.
 template <typename Fx>
 Matrix<typename Fx::storage_type> quantize(const Matrix<float>& m) {
-    return m.template map<typename Fx::storage_type>(
-        [](float v) { return Fx::from_float(v).raw(); });
+    if constexpr (std::is_same_v<Fx, InputFx>) {
+        return quantize_input(m, 1.0f);
+    } else {
+        return m.template map<typename Fx::storage_type>(
+            [](float v) { return Fx::from_float(v).raw(); });
+    }
 }
 
 /// Dequantize raw Q-format integers back to float.

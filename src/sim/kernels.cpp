@@ -1,5 +1,6 @@
 #include "sim/kernels.hpp"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "numeric/reciprocal.hpp"  // normalize_prob (stage-4 scalar form)
@@ -86,6 +87,22 @@ void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
             round_shift(static_cast<std::int64_t>(a) * out[t] +
                             static_cast<std::int64_t>(b) * in[t],
                         sf));
+}
+
+void quantize_i8_scalar(const float* x, std::size_t n, float scale, std::int8_t* out) {
+    // Adding and subtracting 1.5 * 2^23 rounds any |v| <= 2^22 to an integer
+    // in the current rounding mode — what std::nearbyint does. Clamping to
+    // the integer bounds first commutes with that monotone rounding.
+    constexpr float kRound = 12582912.0f;
+    for (std::size_t i = 0; i < n; ++i) {
+        const float z = (x[i] * scale) * 16.0f;
+        if (z != z) {  // NaN
+            out[i] = 0;
+            continue;
+        }
+        const float c = std::min(std::max(z, -128.0f), 127.0f);
+        out[i] = static_cast<std::int8_t>((c + kRound) - kRound);
+    }
 }
 
 #if defined(SALO_X86_DISPATCH)
@@ -407,6 +424,70 @@ __attribute__((target("avx512f,avx512dq"))) static void mix_i32_avx512(
     if (t < d) mix_i32_scalar(out + t, in + t, a, b, d - t);
 }
 
+// ---------------------------------------------------------------------------
+// Q3.4 quantizer, the scalar form's op sequence per lane: two float
+// multiplies, clamp to [-128, 127] (max/min return the bound for a NaN
+// lane, which the ordered-compare mask then zeroes), round in the current
+// mode (_MM_FROUND_NEARBYINT = std::nearbyint), then an exact conversion
+// of the integral value and a narrowing that never saturates.
+// ---------------------------------------------------------------------------
+
+__attribute__((target("avx2"))) static inline __m256i quantize8_avx2(const float* x,
+                                                                    __m256 scale) {
+    const __m256 z = _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(x), scale),
+                                   _mm256_set1_ps(16.0f));
+    const __m256 ordered = _mm256_cmp_ps(z, z, _CMP_ORD_Q);
+    const __m256 c = _mm256_min_ps(_mm256_max_ps(z, _mm256_set1_ps(-128.0f)),
+                                   _mm256_set1_ps(127.0f));
+    const __m256 r = _mm256_round_ps(c, _MM_FROUND_NEARBYINT);
+    return _mm256_cvtps_epi32(_mm256_and_ps(r, ordered));
+}
+
+__attribute__((target("avx2"))) static void quantize_i8_avx2(const float* x, std::size_t n,
+                                                             float scale, std::int8_t* out) {
+    const __m256 s = _mm256_set1_ps(scale);
+    // packs interleaves 128-bit lanes; this restores element order.
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        const __m256i ab = _mm256_packs_epi32(quantize8_avx2(x + i, s),
+                                              quantize8_avx2(x + i + 8, s));
+        const __m256i cd = _mm256_packs_epi32(quantize8_avx2(x + i + 16, s),
+                                              quantize8_avx2(x + i + 24, s));
+        const __m256i bytes =
+            _mm256_permutevar8x32_epi32(_mm256_packs_epi16(ab, cd), order);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), bytes);
+    }
+    if (i < n) quantize_i8_scalar(x + i, n - i, scale, out + i);
+}
+
+__attribute__((target("avx512f"))) static inline __m512i quantize16_avx512(__m512 v,
+                                                                          __m512 scale) {
+    const __m512 z = _mm512_mul_ps(_mm512_mul_ps(v, scale), _mm512_set1_ps(16.0f));
+    const __mmask16 ordered = _mm512_cmp_ps_mask(z, z, _CMP_ORD_Q);
+    const __m512 c = _mm512_min_ps(_mm512_max_ps(z, _mm512_set1_ps(-128.0f)),
+                                   _mm512_set1_ps(127.0f));
+    const __m512 r = _mm512_roundscale_ps(c, _MM_FROUND_NEARBYINT);
+    return _mm512_maskz_cvtps_epi32(ordered, r);
+}
+
+__attribute__((target("avx512f"))) static void quantize_i8_avx512(const float* x,
+                                                                  std::size_t n,
+                                                                  float scale,
+                                                                  std::int8_t* out) {
+    const __m512 s = _mm512_set1_ps(scale);
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                         _mm512_cvtepi32_epi8(quantize16_avx512(_mm512_loadu_ps(x + i), s)));
+    if (i < n) {
+        // Masked tail: lanes past n are neither read nor written.
+        const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+        _mm512_mask_cvtepi32_storeu_epi8(
+            out + i, tail, quantize16_avx512(_mm512_maskz_loadu_ps(tail, x + i), s));
+    }
+}
+
 static DotI8Fn pick_dot() {
     if (__builtin_cpu_supports("avx512bw")) return dot_i8_avx512;
     if (__builtin_cpu_supports("avx2")) return dot_i8_avx2;
@@ -436,6 +517,7 @@ static RoundShiftFn pick_round_shift() {
                                              : round_shift_i32_scalar;
 }
 static MixFn pick_mix() { return avx512_dq_ok() ? mix_i32_avx512 : mix_i32_scalar; }
+static QuantizeI8Fn pick_quantize() { return quantize_i8_levels().front().second; }
 static const char* pick_name() {
     if (__builtin_cpu_supports("avx512bw")) return "avx512bw";
     if (__builtin_cpu_supports("avx2")) return "avx2";
@@ -449,7 +531,16 @@ const PwlExpBatchFn pwl_exp_batch = pick_pwl_batch();
 const NormProbsFn normalize_probs = pick_norm();
 const RoundShiftFn round_shift_i32 = pick_round_shift();
 const MixFn mix_i32 = pick_mix();
+const QuantizeI8Fn quantize_i8 = pick_quantize();
 const char* isa_name() { return pick_name(); }
+
+std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels() {
+    std::vector<std::pair<const char*, QuantizeI8Fn>> levels;
+    if (__builtin_cpu_supports("avx512f")) levels.emplace_back("avx512f", quantize_i8_avx512);
+    if (__builtin_cpu_supports("avx2")) levels.emplace_back("avx2", quantize_i8_avx2);
+    levels.emplace_back("scalar", quantize_i8_scalar);
+    return levels;
+}
 
 #else  // !SALO_X86_DISPATCH
 
@@ -460,7 +551,12 @@ const PwlExpBatchFn pwl_exp_batch = nullptr;
 const NormProbsFn normalize_probs = normalize_probs_scalar;
 const RoundShiftFn round_shift_i32 = round_shift_i32_scalar;
 const MixFn mix_i32 = mix_i32_scalar;
+const QuantizeI8Fn quantize_i8 = quantize_i8_scalar;
 const char* isa_name() { return "scalar"; }
+
+std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels() {
+    return {{"scalar", quantize_i8_scalar}};
+}
 
 #endif
 

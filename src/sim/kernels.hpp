@@ -12,13 +12,21 @@
 // registers while streaming the row's K vectors; wacc_sp_i8 holds the
 // output accumulator in registers while streaming the row's V vectors.
 //
+// The one float kernel is the Q3.4 input quantizer at the accelerator
+// boundary: it reproduces InputFx::from_float bit for bit (same rounding,
+// same saturation, NaN -> 0), so every caller may use it in place of the
+// per-element scalar conversion.
+//
 // Kernels are dispatched at load time to the widest ISA the host CPU
 // supports (AVX-512BW > AVX2 > unrolled scalar) via GCC/Clang target
 // attributes — no special compile flags needed, and the binary stays
 // runnable on any x86-64. Non-x86 builds get the unrolled scalar kernels.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "numeric/datapath.hpp"
 
@@ -75,6 +83,15 @@ using RoundShiftFn = void (*)(std::int32_t* v, int count, int shift);
 using MixFn = void (*)(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
                        std::uint32_t b, int d);
 
+/// out[i] = InputFx::from_float(float(x[i] * scale)).raw() for i in [0, n):
+/// the product is rounded to float first (the host-side 1/sqrt(d) prescale),
+/// then scaled by 16 (exact), rounded to an integer in the current rounding
+/// mode (ties to even by default, as std::nearbyint) and saturated to
+/// [-128, 127]; NaN maps to 0 and +-inf saturates. scale == 1 is the plain
+/// quantizer.
+using QuantizeI8Fn = void (*)(const float* x, std::size_t n, float scale,
+                              std::int8_t* out);
+
 /// Dispatched entry points (resolved once, before main()).
 extern const DotI8Fn dot_i8;
 extern const RowDotFn dot_i8_rows;
@@ -83,6 +100,7 @@ extern const PwlExpBatchFn pwl_exp_batch;  ///< nullptr when no SIMD support
 extern const NormProbsFn normalize_probs;
 extern const RoundShiftFn round_shift_i32;
 extern const MixFn mix_i32;
+extern const QuantizeI8Fn quantize_i8;
 
 /// Portable unrolled-scalar implementations (always available; used as the
 /// dispatch fallback and by tests to pin down bit-identity).
@@ -96,6 +114,12 @@ void normalize_probs_scalar(const ExpRaw* exps, int count, InvRaw inv,
 void round_shift_i32_scalar(std::int32_t* v, int count, int shift);
 void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
                     std::uint32_t b, int d);
+void quantize_i8_scalar(const float* x, std::size_t n, float scale, std::int8_t* out);
+
+/// Every quantize_i8 implementation this host can run, widest first and
+/// "scalar" last, so tests can pin each ISA level — not only the one the
+/// dispatcher picked — against InputFx::from_float.
+std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels();
 
 /// Name of the ISA level the dispatcher selected ("avx512bw", "avx2",
 /// "scalar"); surfaced by bench_throughput's JSON output.

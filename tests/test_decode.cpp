@@ -15,6 +15,7 @@
 #include "core/engine.hpp"
 #include "core/errors.hpp"
 #include "core/plan_cache.hpp"
+#include "numeric/quantize.hpp"
 #include "tensor/tensor3.hpp"
 
 namespace salo {
@@ -171,6 +172,42 @@ TEST(DecodeState, EvictedNonGlobalRejected) {
     for (int p = 0; p < 5; ++p) state.append(kr, vr);
     EXPECT_THROW((void)state.compact_index(0), ContractViolation);
     EXPECT_NO_THROW((void)state.compact_index(3));
+}
+
+// QuantizedDecodeState holds the InputFx bits of exactly the rows the float
+// state holds: at every step its compact K/V equals quantize<InputFx> of the
+// float state's compact K/V. Inputs are wide enough to saturate some rows.
+void expect_quantized_state_tracks_float(int heads, int d, int span,
+                                         const std::vector<int>& globals, int steps,
+                                         unsigned seed) {
+    DecodeState floats(heads, d, span, globals);
+    QuantizedDecodeState ints(heads, d, span, globals);
+    Rng rng(seed);
+    for (int t = 0; t < steps; ++t) {
+        const Matrix<float> kr = random_matrix(heads, d, rng, 0.0, 4.0);
+        const Matrix<float> vr = random_matrix(heads, d, rng, 0.0, 4.0);
+        floats.append(kr, vr);
+        ints.append(kr, vr);
+        ASSERT_EQ(ints.length(), floats.length());
+        ASSERT_EQ(ints.compact_rows(), floats.compact_rows());
+        const auto [kf, vf] = floats.assemble();
+        const auto [kq, vq] = ints.assemble();
+        ASSERT_EQ(kq.count(), heads);
+        for (int h = 0; h < heads; ++h) {
+            EXPECT_EQ(kq[h], quantize<InputFx>(kf[h])) << "step " << t << " head " << h;
+            EXPECT_EQ(vq[h], quantize<InputFx>(vf[h])) << "step " << t << " head " << h;
+        }
+    }
+}
+
+TEST(QuantizedDecodeState, MatchesQuantizedFloatStateThroughEviction) {
+    expect_quantized_state_tracks_float(1, 2, 4, {}, 7, 5u);
+    expect_quantized_state_tracks_float(2, 32, 4, {}, 11, 6u);
+}
+
+TEST(QuantizedDecodeState, MatchesQuantizedFloatStateWithPinnedGlobals) {
+    expect_quantized_state_tracks_float(2, 2, 3, {0, 1}, 8, 7u);
+    expect_quantized_state_tracks_float(2, 17, 3, {0, 1}, 9, 8u);
 }
 
 // -------------------------------------------------------------------------
@@ -330,6 +367,73 @@ TEST(RunStep, ParallelHeadsMatchSequential) {
     }
 }
 
+// run_step on int8 K/V (QuantizedDecodeState) gives the same bits as on
+// the float K/V it was quantized from, step by step.
+void expect_quantized_step_matches_float(const SaloConfig& config,
+                                         const std::vector<Band>& bands,
+                                         const std::vector<int>& globals, int heads, int d,
+                                         int steps, unsigned seed) {
+    SaloEngine engine(config);
+    Rng rng(seed);
+    DecodeState floats(heads, d, decode_window_span(bands), globals);
+    QuantizedDecodeState ints(heads, d, decode_window_span(bands), globals);
+    RunOptions options;
+    options.thread_budget = 1;
+    for (int t = 0; t < steps; ++t) {
+        const Matrix<float> q_row = random_matrix(heads, d, rng);
+        const Matrix<float> k_row = random_matrix(heads, d, rng);
+        const Matrix<float> v_row = random_matrix(heads, d, rng);
+        floats.append(k_row, v_row);
+        ints.append(k_row, v_row);
+        const CompiledPlanPtr micro =
+            engine.compile_step(prefix_pattern(t + 1, bands, globals), d);
+        const auto [kf, vf] = floats.assemble();
+        const auto [kq, vq] = ints.assemble();
+        const StepResult a = engine.run_step(*micro, q_row, kf, vf, 0.25f, options);
+        const StepResult b = engine.run_step(*micro, q_row, kq, vq, 0.25f, options);
+        EXPECT_EQ(a.stats.cycles, b.stats.cycles) << "step " << t;
+        for (int h = 0; h < heads; ++h)
+            ASSERT_EQ(a.output[h], b.output[h]) << "step " << t << " head " << h;
+    }
+}
+
+TEST(RunStep, QuantizedStateBitIdenticalToFloatState) {
+    SaloConfig config;
+    expect_quantized_step_matches_float(config, {Band{-5, 6, 1, 0}}, {0, 1, 3}, 2, 16, 20,
+                                        83u);
+    expect_quantized_step_matches_float(config, {Band{-3, 4, 1, 0}, Band{-9, 3, 3, 0}},
+                                        {0}, 2, 16, 24, 89u);
+    config.reference_datapath = true;
+    expect_quantized_step_matches_float(config, {Band{-7, 8, 1, 0}}, {0, 1}, 2, 16, 16,
+                                        97u);
+    config.reference_datapath = false;
+    config.fidelity = Fidelity::kCycleAccurate;
+    expect_quantized_step_matches_float(config, {Band{-3, 4, 1, 0}}, {0}, 1, 8, 8, 101u);
+}
+
+TEST(RunStep, QuantizedStateRejectsGoldenFidelity) {
+    SaloConfig config;
+    const std::vector<Band> bands{Band{-3, 4, 1, 0}};
+    QuantizedDecodeState state(1, 8, decode_window_span(bands), {});
+    Rng rng(103u);
+    const Matrix<float> row = random_matrix(1, 8, rng);
+    state.append(row, row);
+    const auto [k, v] = state.assemble();
+    RunOptions golden;
+    golden.fidelity = Fidelity::kGolden;
+    {
+        const SaloEngine engine(config);
+        const CompiledPlanPtr micro = engine.compile_step(prefix_pattern(1, bands, {}), 8);
+        EXPECT_THROW((void)engine.run_step(*micro, row, k, v, 0.25f, golden),
+                     ContractViolation);
+    }
+    // The engine's configured fidelity is checked the same way.
+    config.fidelity = Fidelity::kGolden;
+    const SaloEngine engine(config);
+    const CompiledPlanPtr micro = engine.compile_step(prefix_pattern(1, bands, {}), 8);
+    EXPECT_THROW((void)engine.run_step(*micro, row, k, v, 0.25f), ContractViolation);
+}
+
 // -------------------------------------------------------------------------
 // DecodeSession: stream lifecycle, batching, eviction, conservation
 // -------------------------------------------------------------------------
@@ -341,8 +445,14 @@ Matrix<float> head_row(const Tensor3<float>& all, int t, int heads, int d) {
     return row;
 }
 
-TEST(DecodeSession, StepwiseBitIdentityVsFullEncode) {
-    const SaloConfig config;
+// The session's fidelity fixes each stream's K/V storage: int8 rings for
+// the hardware fidelities, float rings for the golden oracle. Both must be
+// bit-identical to the full-prefix encode.
+class DecodeSessionFidelity : public ::testing::TestWithParam<Fidelity> {};
+
+TEST_P(DecodeSessionFidelity, StepwiseBitIdentityVsFullEncode) {
+    SaloConfig config;
+    config.fidelity = GetParam();
     const std::vector<Band> bands = {Band{-7, 8, 1, 0}};
     const std::vector<int> globals = {0, 1};
     const int heads = 2, d = 16, steps = 12;
@@ -391,6 +501,18 @@ TEST(DecodeSession, StepwiseBitIdentityVsFullEncode) {
     EXPECT_EQ(st.accounted(), st.submitted);
     EXPECT_EQ(st.evicted_streams, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Fidelities, DecodeSessionFidelity,
+                         ::testing::Values(Fidelity::kFunctional, Fidelity::kCycleAccurate,
+                                           Fidelity::kGolden),
+                         [](const ::testing::TestParamInfo<Fidelity>& info) {
+                             switch (info.param) {
+                             case Fidelity::kFunctional: return "Functional";
+                             case Fidelity::kCycleAccurate: return "CycleAccurate";
+                             case Fidelity::kGolden: return "Golden";
+                             }
+                             return "Unknown";
+                         });
 
 TEST(DecodeSession, ConcurrentStreamsBitIdenticalAndConserved) {
     const SaloConfig config;

@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -284,6 +288,146 @@ TEST(Kernels, RoundShiftAndMixMatchScalar) {
     kernels::mix_i32(o1.data(), in.data(), 20000, 12768, 64);
     kernels::mix_i32_scalar(o2.data(), in.data(), 20000, 12768, 64);
     EXPECT_EQ(o1, o2);
+}
+
+// -------------------------------------------------------------------------
+// The Q3.4 input quantizer: every ISA level this host runs (the dispatched
+// one is the widest) against InputFx::from_float of the float-rounded
+// product — the scalar conversion the kernel replaces.
+// -------------------------------------------------------------------------
+
+float float_from_bits(std::uint32_t bits) {
+    float f = 0.0f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+std::string hex_bits(float f) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof f);
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "0x%08x", bits);
+    return buf;
+}
+
+::testing::AssertionResult quantizer_matches_from_float(const std::vector<float>& xs,
+                                                        float scale) {
+    std::vector<std::int8_t> want(xs.size()), got(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        want[i] = InputFx::from_float(xs[i] * scale).raw();
+    for (const auto& [name, fn] : kernels::quantize_i8_levels()) {
+        std::fill(got.begin(), got.end(), std::int8_t{0x55});
+        fn(xs.data(), xs.size(), scale, got.data());
+        if (got == want) continue;
+        for (std::size_t i = 0; i < xs.size(); ++i)
+            if (got[i] != want[i])
+                return ::testing::AssertionFailure()
+                       << name << ": x bits " << hex_bits(xs[i]) << " (" << xs[i]
+                       << ") scale " << scale << " -> "
+                       << static_cast<int>(got[i]) << ", from_float "
+                       << static_cast<int>(want[i]);
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Kernels, QuantizerDispatchesToWidestLevel) {
+    const auto levels = kernels::quantize_i8_levels();
+    ASSERT_FALSE(levels.empty());
+    EXPECT_EQ(levels.front().second, kernels::quantize_i8);
+    EXPECT_STREQ(levels.back().first, "scalar");
+    EXPECT_EQ(levels.back().second, kernels::quantize_i8_scalar);
+}
+
+TEST(Kernels, QuantizerExhaustiveOverTheRoundingRange) {
+    // Every float with |16x| in [2^-1, 2^8), both signs: biased exponents
+    // 122..130. Below it everything rounds to 0, above it saturates.
+    constexpr std::uint32_t lo = 122u << 23, hi = 131u << 23;
+    constexpr std::uint32_t chunk = 1u << 16;
+    std::vector<float> xs;
+    xs.reserve(chunk);
+    for (const std::uint32_t sign : {0u, 0x8000'0000u}) {
+        for (std::uint32_t base = lo; base < hi; base += chunk) {
+            xs.clear();
+            for (std::uint32_t b = base; b < base + chunk; ++b)
+                xs.push_back(float_from_bits(sign | b));
+            ASSERT_TRUE(quantizer_matches_from_float(xs, 1.0f));
+        }
+    }
+}
+
+TEST(Kernels, QuantizerSpecialValuesInEveryLane) {
+    const std::vector<std::uint32_t> bits = {
+        0x0000'0000u, 0x8000'0000u,  // +-0
+        0x0000'0001u, 0x8000'0001u,  // +-min denormal
+        0x007f'ffffu, 0x807f'ffffu,  // +-max denormal
+        0x0080'0000u, 0x8080'0000u,  // +-FLT_MIN
+        0x7f7f'ffffu, 0xff7f'ffffu,  // +-FLT_MAX
+        0x7f80'0000u, 0xff80'0000u,  // +-inf
+        0x7fc0'0000u, 0xffc0'0000u,  // quiet NaNs
+        0x7fc0'1234u, 0xffff'ffffu,  // quiet NaNs with payloads
+        0x7f80'0001u, 0xff80'0001u,  // signalling NaNs
+        0x7fa0'0000u, 0xffbf'ffffu,  // signalling NaNs with payloads
+    };
+    std::vector<float> specials;
+    for (std::uint32_t b : bits) specials.push_back(float_from_bits(b));
+    // The saturation edges: 127/16 and -128/16 and their neighbours.
+    for (const float edge : {127.0f / 16.0f, 127.5f / 16.0f, 128.0f / 16.0f,
+                             -128.0f / 16.0f, -128.5f / 16.0f, -129.0f / 16.0f})
+        for (const float x : {std::nextafter(edge, -1e9f), edge, std::nextafter(edge, 1e9f)})
+            specials.push_back(x);
+    // Shift the block through every lane position of a 32-wide vector and
+    // into the scalar/masked tails.
+    for (std::size_t offset = 0; offset < 32; ++offset) {
+        std::vector<float> xs(offset, 0.25f);
+        xs.insert(xs.end(), specials.begin(), specials.end());
+        ASSERT_TRUE(quantizer_matches_from_float(xs, 1.0f)) << "offset " << offset;
+    }
+}
+
+TEST(Kernels, QuantizerRoundsEveryTieToEven) {
+    std::vector<float> ties;
+    for (int k = -140; k < 140; ++k) ties.push_back((static_cast<float>(k) + 0.5f) / 16.0f);
+    ASSERT_TRUE(quantizer_matches_from_float(ties, 1.0f));
+    std::vector<std::int8_t> q(ties.size());
+    kernels::quantize_i8(ties.data(), ties.size(), 1.0f, q.data());
+    for (std::size_t i = 0; i < ties.size(); ++i) {
+        const int k = static_cast<int>(i) - 140;
+        const int even = k % 2 == 0 ? k : k + 1;  // (k + 0.5) -> the even neighbour
+        EXPECT_EQ(q[i], std::clamp(even, -128, 127)) << "tie (" << k << " + 0.5) / 16";
+    }
+}
+
+TEST(Kernels, QuantizerScaledPathMatchesPrescaledFromFloat) {
+    Rng rng(5);
+    for (const int d : {16, 32, 64}) {
+        const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+        std::vector<float> xs;
+        // A strided sweep of all 2^32 bit patterns (every exponent, NaNs
+        // and infinities included), activations, and the inputs whose
+        // prescaled value lands on or beside a rounding tie.
+        for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4099)
+            xs.push_back(float_from_bits(static_cast<std::uint32_t>(b)));
+        for (int i = 0; i < 100000; ++i) xs.push_back(static_cast<float>(rng.normal(0.0, 8.0)));
+        for (int k = -140; k < 140; ++k) {
+            const float x = (static_cast<float>(k) + 0.5f) / 16.0f / scale;
+            xs.push_back(std::nextafter(x, -1e9f));
+            xs.push_back(x);
+            xs.push_back(std::nextafter(x, 1e9f));
+        }
+        ASSERT_TRUE(quantizer_matches_from_float(xs, scale)) << "d=" << d;
+    }
+}
+
+TEST(Kernels, QuantizeInputFxRoutesThroughTheKernel) {
+    Rng rng(6);
+    const Matrix<float> m = random_matrix(37, 19, rng, 0.0, 4.0);
+    const Matrix<std::int8_t> q = quantize<InputFx>(m);
+    const Matrix<std::int8_t> qs = quantize_input(m, 0.25f);
+    for (int r = 0; r < m.rows(); ++r)
+        for (int c = 0; c < m.cols(); ++c) {
+            EXPECT_EQ(q(r, c), InputFx::from_float(m(r, c)).raw());
+            EXPECT_EQ(qs(r, c), InputFx::from_float(m(r, c) * 0.25f).raw());
+        }
 }
 
 // -------------------------------------------------------------------------
