@@ -1,6 +1,6 @@
 // End-to-end functional-simulation throughput: the seed's sequential scalar
 // path vs the overhauled engine (SIMD kernels, arena parts, persistent
-// worker pool with tile-level parallelism).
+// worker pool running one head per lane).
 //
 // The baseline configuration (`seed_reference_1t`) runs the original
 // datapath loops preserved behind SaloConfig::reference_datapath on one

@@ -77,22 +77,9 @@ public:
                      std::nullopt,
                  const CancellationToken* cancel = nullptr) const {
         tiles_seen_.fetch_add(1, std::memory_order_relaxed);
-        if (should_stall(tile) &&
-            (config_.max_stalls < 0 ||
-             stalls_injected_.load(std::memory_order_relaxed) <
-                 static_cast<std::uint64_t>(config_.max_stalls))) {
-            stalls_injected_.fetch_add(1, std::memory_order_relaxed);
+        if (should_stall(tile) && claim(stalls_injected_, config_.max_stalls))
             stall(tile, deadline, cancel);
-        }
-        if (!should_fault(tile)) return;
-        if (config_.max_faults >= 0) {
-            // fetch_add under the cap: concurrent lanes may race past the
-            // cap by one, which is fine for tests (cap 0 still disables).
-            if (faults_injected_.load(std::memory_order_relaxed) >=
-                static_cast<std::uint64_t>(config_.max_faults))
-                return;
-        }
-        faults_injected_.fetch_add(1, std::memory_order_relaxed);
+        if (!should_fault(tile) || !claim(faults_injected_, config_.max_faults)) return;
         throw EngineFault("FaultInjector: injected fault at tile " +
                           std::to_string(tile) + " (seed " +
                           std::to_string(config_.seed) + ")");
@@ -116,6 +103,17 @@ public:
     }
 
 private:
+    /// Count one injection against `cap` (< 0 = unlimited); false once the
+    /// cap is spent. The compare-exchange keeps the cap exact when the
+    /// heads of one layer reach the same tile on several lanes at once.
+    static bool claim(std::atomic<std::uint64_t>& count, int cap) {
+        std::uint64_t seen = count.load(std::memory_order_relaxed);
+        do {
+            if (cap >= 0 && seen >= static_cast<std::uint64_t>(cap)) return false;
+        } while (!count.compare_exchange_weak(seen, seen + 1, std::memory_order_relaxed));
+        return true;
+    }
+
     void stall(int tile,
                const std::optional<std::chrono::steady_clock::time_point>& deadline,
                const CancellationToken* cancel) const {

@@ -5,17 +5,17 @@
 // This pool starts its workers once and reuses them for every parallel
 // region. Scheduling is a shared atomic ticket counter — work-stealing in
 // spirit: lanes that finish their items early immediately pull the next
-// unclaimed index, so imbalanced tile costs even out without any static
+// unclaimed index, so imbalanced task costs even out without any static
 // partitioning.
 //
 // Lanes: a pool of size L has L-1 worker threads plus the calling thread,
 // which participates as lane 0 instead of blocking. Task functions receive
-// (index, lane); per-lane scratch (arenas, score buffers) is indexed by the
-// lane id, which is unique among concurrently-running tasks.
+// (index, lane); per-lane scratch is indexed by the lane id, which is
+// unique among concurrently-running tasks.
 //
 // parallel_for is not reentrant: tasks must not call back into the same
-// pool (the engine never nests — head-level and tile-level parallelism are
-// mutually exclusive per run).
+// pool (the engine never nests — its only parallel region is one task per
+// head, and each head runs its tiles sequentially on its lane).
 #pragma once
 
 #include <atomic>

@@ -15,26 +15,7 @@ namespace salo {
 
 namespace {
 
-/// Min/max query id over a tile's emitted parts, as a [lo, hi) range for
-/// the merge phase's shard-skip test ({0, 0} when the tile emitted none).
-/// `for_each_part` invokes its callback once per part, in any order.
-template <typename ForEachPart>
-QueryShard part_query_bounds(ForEachPart&& for_each_part) {
-    QueryShard bounds{0, 0};
-    bool first = true;
-    for_each_part([&](const TilePart& p) {
-        if (first) {
-            bounds = QueryShard{p.query, p.query + 1};
-            first = false;
-            return;
-        }
-        bounds.lo = std::min(bounds.lo, p.query);
-        bounds.hi = std::max(bounds.hi, p.query + 1);
-    });
-    return bounds;
-}
-
-/// Sequential cycle accounting shared by every execution path, a thin
+/// Sequential cycle accounting shared by both datapath fidelities, a thin
 /// adapter over the shared TileCostAccountant (sim/tile_costs.hpp — the
 /// same contract the analytic model and the co-simulation kernel replay).
 /// Tiles are accounted strictly in schedule order: the double-buffered load
@@ -168,8 +149,7 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
                                      const HybridPattern& pattern,
                                      const Matrix<float>& q, const Matrix<float>& k,
                                      const Matrix<float>& v, float scale,
-                                     Fidelity fidelity, int threads,
-                                     ParallelWorkspace* ws, const RunControl* ctl) const {
+                                     Fidelity fidelity, const RunControl* ctl) const {
     const int n = q.rows();
     const int d = q.cols();
     SALO_EXPECTS(n == pattern.n());
@@ -187,19 +167,8 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
     // Quantize at the accelerator boundary. The 1/sqrt(d) scaling belongs to
     // Q on the host side, before the array; the quantizer applies it on the
     // fly instead of scaling a copy of Q.
-    const Matrix<std::int8_t> qq = quantize_input(q, scale);
-    const Matrix<std::int8_t> kq = quantize<InputFx>(k);
-    const Matrix<std::int8_t> vq = quantize<InputFx>(v);
-
-    // The reference datapath exists only in the sequential loop; honoring
-    // the flag beats silently benchmarking the optimized path as "seed".
-    const bool parallel_ok = !config_.reference_datapath;
-    if (parallel_ok && threads > 1 && static_cast<int>(plan.tiles.size()) > 1) {
-        if (ws != nullptr) return run_head_parallel(plan, fidelity, qq, kq, vq, *ws, ctl);
-        ParallelWorkspace scratch_ws;
-        return run_head_parallel(plan, fidelity, qq, kq, vq, scratch_ws, ctl);
-    }
-    return run_head_sequential(plan, fidelity, qq, kq, vq, ctl);
+    return run_head_sequential(plan, fidelity, quantize_input(q, scale),
+                               quantize<InputFx>(k), quantize<InputFx>(v), ctl);
 }
 
 HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
@@ -261,139 +230,28 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
     return result;
 }
 
-// ---------------------------------------------------------------------------
-// Tile-level parallel execution: tiles of ONE head run concurrently.
-//
-// Phase A  workers claim tiles from the pool's ticket counter and execute
-//          them into per-lane part arenas, recording an (arena, range) span
-//          per tile. No shared mutable state beyond the counter.
-// Phase B  query rows are partitioned into balanced shards; each lane
-//          replays the *full* part stream in schedule order and merges only
-//          the parts of its shard. Per-query merge order is therefore
-//          exactly the sequential order — bit-identical output for any
-//          thread count and any tile->lane assignment.
-// Phase C  cycle accounting runs on the calling thread in schedule order
-//          (the load-overlap model is inherently sequential, but it is
-//          O(tiles), not O(work)).
-// ---------------------------------------------------------------------------
-HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fidelity,
-                                         const Matrix<std::int8_t>& qq,
-                                         const Matrix<std::int8_t>& kq,
-                                         const Matrix<std::int8_t>& vq,
-                                         ParallelWorkspace& ws,
-                                         const RunControl* ctl) const {
-    const int n = qq.rows();
-    const int d = qq.cols();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
-    HeadResult result;
-    WeightedSumModule wsm(n, d, recip_unit_);
-    const CycleConfig ccfg = config_.cycle_config();
-    TileAccountant accountant(config_, d);
-    ThreadPool& workers = pool();
-    const int lanes = workers.lanes();
-
-    ws.lane_activity.assign(static_cast<std::size_t>(lanes), ActivityStats{});
-    std::vector<ActivityStats>& lane_activity = ws.lane_activity;
-    ws.tile_bounds.resize(static_cast<std::size_t>(num_tiles));
-    std::vector<QueryShard>& tile_bounds = ws.tile_bounds;
-
-    // Phase B, shared by both fidelities: every shard replays the full tile
-    // list in schedule order — skipping tiles whose part queries fall
-    // outside its range — and merges only its own queries, so per-query
-    // merge order equals the sequential order for any lane count.
-    auto replay_shards = [&](auto&& for_each_part_of_tile) {
-        if (ws.shards.empty()) ws.shards = partition_query_rows(plan, lanes);
-        const std::vector<QueryShard>& shards = ws.shards;
-        workers.parallel_for(static_cast<int>(shards.size()), [&](int s, int) {
-            const QueryShard shard = shards[static_cast<std::size_t>(s)];
-            for (int t = 0; t < num_tiles; ++t) {
-                const QueryShard bounds = tile_bounds[static_cast<std::size_t>(t)];
-                if (bounds.hi <= shard.lo || bounds.lo >= shard.hi) continue;
-                for_each_part_of_tile(t, [&](const TilePart& p) {
-                    wsm.merge_shard(p, shard.lo, shard.hi);
-                });
-            }
-        });
+template <typename RunHead>
+SimStats SaloEngine::run_heads(int heads, int thread_budget, Tensor3<float>& out,
+                               RunHead&& run_one) const {
+    const int threads = thread_budget <= 0 ? config_.effective_threads() : thread_budget;
+    // Heads are independent attention problems and the only parallel work
+    // quantum: each lane runs whole heads through the sequential tile loop,
+    // merging every tile's parts in schedule order while they are still hot.
+    // That is the 1-lane merge order, so results are bit-identical for every
+    // lane count, and SimStats are integer sums.
+    std::vector<SimStats> stats(static_cast<std::size_t>(heads));
+    const auto run_into = [&](int h) {
+        HeadResult r = run_one(h);
+        out[h] = std::move(r.output);
+        stats[static_cast<std::size_t>(h)] = r.stats;
     };
-
-    if (fidelity == Fidelity::kFunctional) {
-        const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        ws.arenas.resize(static_cast<std::size_t>(lanes));
-        for (PartArena& a : ws.arenas) a.reset();
-        ws.scratch.resize(static_cast<std::size_t>(lanes));
-        ws.spans.resize(static_cast<std::size_t>(num_tiles));
-        std::vector<PartArena>& arenas = ws.arenas;
-        std::vector<PartScratch>& scratch = ws.scratch;
-        std::vector<PartSpan>& spans = ws.spans;
-
-        // Larger claim chunks cut ticket-counter contention; tiles are small.
-        const int chunk = std::max(1, num_tiles / (lanes * 8));
-        workers.parallel_for(
-            num_tiles,
-            [&](int t, int lane) {
-                // Tile boundary: cancellation/deadline/fault checks. A
-                // throw fails only this run — sibling tiles of the same
-                // region still execute (pool fault isolation), and the
-                // first error is rethrown to this run's caller after the
-                // region completes.
-                if (ctl != nullptr) ctl->check(t);
-                PartArena& arena = arenas[static_cast<std::size_t>(lane)];
-                const auto first = static_cast<std::uint32_t>(arena.used());
-                exec.run(plan.tiles[static_cast<std::size_t>(t)], arena,
-                         lane_activity[static_cast<std::size_t>(lane)],
-                         scratch[static_cast<std::size_t>(lane)]);
-                PartSpan& span = spans[static_cast<std::size_t>(t)];
-                span = PartSpan{lane, first,
-                                static_cast<std::uint32_t>(arena.used() - first)};
-                tile_bounds[static_cast<std::size_t>(t)] =
-                    part_query_bounds([&](auto&& visit) {
-                        for (std::uint32_t i = 0; i < span.count; ++i)
-                            visit(arena.at(first + i));
-                    });
-            },
-            chunk);
-
-        replay_shards([&](int t, auto&& merge) {
-            const PartSpan& span = spans[static_cast<std::size_t>(t)];
-            const PartArena& arena = arenas[static_cast<std::size_t>(span.lane)];
-            for (std::uint32_t i = 0; i < span.count; ++i)
-                merge(arena.at(span.first + i));
-        });
-
-        for (const TileTask& tile : plan.tiles) {
-            const CycleBreakdown& b = accountant.account(tile, result.stats);
-            result.stats.activity.pe_cycles +=
-                static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
-                                       kq, vq);
-        ws.tile_parts.resize(static_cast<std::size_t>(num_tiles));
-        for (auto& parts : ws.tile_parts) parts.clear();
-        std::vector<std::vector<TilePart>>& tile_parts = ws.tile_parts;
-
-        workers.parallel_for(num_tiles, [&](int t, int lane) {
-            if (ctl != nullptr) ctl->check(t);
-            std::vector<TilePart>& parts = tile_parts[static_cast<std::size_t>(t)];
-            array.run(plan.tiles[static_cast<std::size_t>(t)], parts,
-                      lane_activity[static_cast<std::size_t>(lane)]);
-            tile_bounds[static_cast<std::size_t>(t)] =
-                part_query_bounds([&](auto&& visit) {
-                    for (const TilePart& p : parts) visit(p);
-                });
-        });
-
-        replay_shards([&](int t, auto&& merge) {
-            for (const TilePart& p : tile_parts[static_cast<std::size_t>(t)]) merge(p);
-        });
-
-        for (int t = 0; t < num_tiles; ++t)
-            accountant.account(plan.tiles[static_cast<std::size_t>(t)], result.stats);
-    }
-
-    for (const ActivityStats& a : lane_activity) result.stats.activity += a;
-    result.output = wsm.finalize();
-    return result;
+    if (threads > 1 && heads > 1)
+        pool().parallel_for(heads, [&](int h, int) { run_into(h); });
+    else
+        for (int h = 0; h < heads; ++h) run_into(h);
+    SimStats total;
+    for (const SimStats& s : stats) total += s;
+    return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -460,26 +318,9 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
     result.position = sg.position;
     result.output = Tensor3<float>(heads, 1, d);
 
-    const int threads =
-        options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
-    std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
-    if (threads > 1 && heads > 1) {
-        // Heads are independent; a step's per-head tile loop is tiny, so a
-        // head is the only sensible work quantum.
-        pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] =
-                run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
-        });
-    } else {
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
-    }
-
-    for (int h = 0; h < heads; ++h) {
-        result.output[h] = std::move(head_results[static_cast<std::size_t>(h)].output);
-        result.stats += head_results[static_cast<std::size_t>(h)].stats;
-    }
+    result.stats = run_heads(heads, options.thread_budget, result.output, [&](int h) {
+        return run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
+    });
     return result;
 }
 
@@ -500,8 +341,7 @@ HeadResult SaloEngine::run_head(const CompiledPlan& plan, const Matrix<float>& q
                                 const Matrix<float>& k, const Matrix<float>& v,
                                 float scale) const {
     check_compatible(plan);
-    return run_head_impl(plan.plan(), plan.pattern(), q, k, v, scale, config_.fidelity,
-                         config_.effective_threads());
+    return run_head_impl(plan.plan(), plan.pattern(), q, k, v, scale, config_.fidelity);
 }
 
 LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
@@ -537,45 +377,9 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
     const RunControl ctl_storage = run_control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
 
-    const int heads = q.count();
-    const int threads =
-        options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
-    std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
-
-    if (threads == 1) {
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, 1, nullptr,
-                              ctl);
-    } else if (!config_.reference_datapath && fidelity != Fidelity::kGolden &&
-               (static_cast<int>(p.tiles.size()) >= 2 * threads || heads == 1)) {
-        // (Golden fidelity has no tiles to parallelize — it goes through the
-        // head-parallel branch below, like the original engine striped it.)
-        // Large plans: tile-level parallelism inside each head dominates
-        // (near-perfect balance even when heads % threads != 0). One
-        // workspace serves every head so arenas keep their capacity.
-        ParallelWorkspace ws;
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, threads, &ws,
-                              ctl);
-    } else {
-        // Small plans — and the reference datapath, which exists only in
-        // the sequential tile loop but still parallelizes across heads,
-        // like the original engine did: a head is the work quantum. Heads
-        // are independent, so results are identical either way; each task
-        // runs the sequential path (the two levels never nest).
-        pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, 1, nullptr,
-                              ctl);
-        });
-    }
-
-    for (int h = 0; h < heads; ++h) {
-        result.output[h] = std::move(head_results[static_cast<std::size_t>(h)].output);
-        result.stats += head_results[static_cast<std::size_t>(h)].stats;
-    }
+    result.stats = run_heads(q.count(), options.thread_budget, result.output, [&](int h) {
+        return run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, ctl);
+    });
     return result;
 }
 

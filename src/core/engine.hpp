@@ -23,12 +23,11 @@
 //   kCycleAccurate — bit-accurate datapath driven cycle-by-cycle (slow;
 //                    validates the analytic cycle model).
 //
-// Execution: the engine owns a persistent worker pool and parallelizes at
-// two levels — across heads when there are many small plans, and across the
-// tiles of a single plan otherwise (per-lane part arenas, then a sharded
-// ordered merge into the weighted-sum module). Both levels are bit-identical
-// to the sequential path for every thread count: tile outputs are replayed
-// in schedule order per query shard, and all datapath arithmetic is integer.
+// Execution: the engine owns a persistent worker pool, and a head is the only
+// parallel work quantum. Each lane runs whole heads through the sequential
+// tile loop, merging every tile's parts into the head's weighted-sum module
+// in schedule order — the order one lane uses — so results are bit-identical
+// for every thread count. A single-head call always runs on the caller.
 #pragma once
 
 #include <chrono>
@@ -47,7 +46,6 @@
 #include "pattern/pattern.hpp"
 #include "scheduler/scheduler.hpp"
 #include "sim/cycle_formulas.hpp"
-#include "sim/part_builder.hpp"
 #include "sim/parts.hpp"
 #include "tensor/tensor3.hpp"
 
@@ -81,7 +79,7 @@ struct RunOptions {
     /// Execution fidelity; defaults to the engine's configured fidelity.
     std::optional<Fidelity> fidelity;
     /// See run(plan, q, k, v, scale, fidelity, thread_budget): <= 0 means
-    /// the configured thread count, 1 forces the sequential path.
+    /// the configured thread count, 1 keeps every head on the caller.
     int thread_budget = 0;
     /// Checked at every tile boundary; fires RequestCancelled.
     CancellationToken cancel;
@@ -121,14 +119,14 @@ public:
                     float scale) const;
 
     /// Advanced overload (request serving): per-call fidelity and
-    /// execution shape. `thread_budget` <= 0 means the configured thread
-    /// count; 1 forces the pure sequential path with no pool involvement,
-    /// so many such calls can run concurrently. Values > 1 are NOT a lane
-    /// bound: they select the parallel path, which always runs on the
-    /// engine's full pool, and concurrent parallel regions serialize on
-    /// that pool — callers running requests concurrently should pass 1 per
-    /// request (as the serving tiers do) and parallelize across calls. Results
-    /// are bit-identical for every value.
+    /// execution shape. `thread_budget` 1 runs the heads one after another
+    /// on the caller with no pool involvement, so many such calls can run
+    /// concurrently. <= 0 (the configured thread count) or > 1 runs the
+    /// heads of a multi-head layer one per pool task; values > 1 are NOT a
+    /// lane bound: the region always runs on the engine's full pool, and
+    /// concurrent regions serialize on that pool — callers running requests
+    /// concurrently should pass 1 per request (as the serving tiers do) and
+    /// parallelize across calls. Results are bit-identical for every value.
     LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v, float scale,
                     Fidelity fidelity, int thread_budget) const;
@@ -224,19 +222,6 @@ private:
         }
     };
 
-    /// Per-lane buffers of the tile-parallel path, reused across the heads
-    /// of one layer so arenas keep their capacity (allocating ~parts-per-
-    /// head of fresh vectors per head costs more than the merge itself).
-    struct ParallelWorkspace {
-        std::vector<PartArena> arenas;
-        std::vector<PartScratch> scratch;
-        std::vector<PartSpan> spans;
-        std::vector<ActivityStats> lane_activity;
-        std::vector<std::vector<TilePart>> tile_parts;  ///< cycle-accurate path
-        std::vector<QueryShard> shards;       ///< merge shards, shared across heads
-        std::vector<QueryShard> tile_bounds;  ///< per-tile part query range [lo, hi)
-    };
-
     /// The plan must match this engine's geometry/options (checked).
     void check_compatible(const CompiledPlan& plan) const;
 
@@ -244,14 +229,11 @@ private:
     /// injector as the fallback.
     RunControl run_control(const RunOptions& options) const;
 
-    /// `threads` is the lane budget for THIS head (1 = sequential; callers
-    /// running heads in parallel pass 1 so levels never nest). `ws` may be
-    /// null (a scratch workspace is created when needed). `ctl` may be null
-    /// (no robustness hooks active).
+    /// One head on the sequential tile loop (or the golden oracle). `ctl`
+    /// may be null (no robustness hooks active).
     HeadResult run_head_impl(const SchedulePlan& plan, const HybridPattern& pattern,
                              const Matrix<float>& q, const Matrix<float>& k,
                              const Matrix<float>& v, float scale, Fidelity fidelity,
-                             int threads, ParallelWorkspace* ws = nullptr,
                              const RunControl* ctl = nullptr) const;
 
     HeadResult run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
@@ -260,12 +242,13 @@ private:
                                    const Matrix<std::int8_t>& vq,
                                    const RunControl* ctl = nullptr) const;
 
-    HeadResult run_head_parallel(const SchedulePlan& plan, Fidelity fidelity,
-                                 const Matrix<std::int8_t>& qq,
-                                 const Matrix<std::int8_t>& kq,
-                                 const Matrix<std::int8_t>& vq,
-                                 ParallelWorkspace& ws,
-                                 const RunControl* ctl = nullptr) const;
+    /// Runs `run_one(h) -> HeadResult` for every head — one whole head per
+    /// pool task when `thread_budget` allows more than one lane and there
+    /// is more than one head, else in order on the caller — moves each
+    /// head's output into out[h] and returns the summed stats.
+    template <typename RunHead>
+    SimStats run_heads(int heads, int thread_budget, Tensor3<float>& out,
+                       RunHead&& run_one) const;
 
     /// One head of one decode step: the golden row, or the sequential tile
     /// loop over a one-row Q (micro-plans are a handful of tiles, so there

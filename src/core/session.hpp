@@ -3,9 +3,9 @@
 // A plain session is the one-shard ShardedSession (core/shard_router.hpp)
 // without retry: callers submit AttentionRequests and receive a
 // std::future<LayerResult>; router workers (one per engine lane) carry
-// each request end to end. A request alone on the engine runs with the
-// whole worker pool (tile-level parallelism); concurrent requests each run
-// the sequential path on their own worker. Every completed result is
+// each request end to end. A request alone on the engine runs its heads
+// one per pool lane; concurrent requests each run their heads one after
+// another on their own worker. Every completed result is
 // bit-identical to the sequential SaloEngine::run of the same request.
 //
 // Robustness is the tier's (docs/API.md "Failure semantics"): typed

@@ -345,9 +345,9 @@ void ShardedSession::serve_task(Task& task) {
 
         RunOptions run_options;
         run_options.fidelity = request.fidelity;
-        // Alone on the shard: use its whole pool (tile parallelism). Sharing
-        // it: the sequential path on this worker. Either way the result is
-        // bit-identical (engine guarantee).
+        // Alone on the shard: its heads run one per lane of the shard's pool.
+        // Sharing it: the heads run in turn on this worker. Either way the
+        // result is bit-identical (engine guarantee).
         run_options.thread_budget = active_here == 1 ? 0 : 1;
         run_options.cancel = request.cancel;
         std::optional<Clock::time_point> attempt_deadline = request.deadline;

@@ -8,10 +8,10 @@
 // shards — each with its own worker pool and PlanCache — so a wedged or
 // faulting engine degrades the tier instead of taking it down:
 //
-//   * execution shape: a request alone on its shard runs with the shard's
-//     whole pool (tile-level parallelism inside the request); requests
-//     sharing a shard each run the sequential path on their own router
-//     worker. Both shapes are bit-identical to SaloEngine::run;
+//   * execution shape: a request alone on its shard runs its heads one per
+//     lane of the shard's pool; requests sharing a shard each run their
+//     heads one after another on their own router worker. Both shapes are
+//     bit-identical to SaloEngine::run;
 //   * deadlines and cancellation: expired or cancelled requests are shed
 //     before they reach a shard, and in-flight runs check the token and the
 //     deadline at tile boundaries;

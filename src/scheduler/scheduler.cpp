@@ -307,65 +307,6 @@ SchedulePlan schedule(const HybridPattern& pattern, const ArrayGeometry& geometr
     return plan;
 }
 
-std::vector<QueryShard> partition_query_rows(const SchedulePlan& plan, int num_shards) {
-    SALO_EXPECTS(num_shards >= 1);
-    const int n = plan.n;
-    SALO_EXPECTS(n >= 1);
-
-    // Per-query merge work: one unit per part the plan will emit for it.
-    std::vector<std::int64_t> work(static_cast<std::size_t>(n), 0);
-    for (const TileTask& tile : plan.tiles) {
-        const int rows = tile.rows();
-        const int cols = tile.cols();
-        for (int r = 0; r < rows; ++r) {
-            const int q = tile.query_ids[static_cast<std::size_t>(r)];
-            if (q < 0) continue;
-            bool any = false;
-            const std::uint8_t* vrow =
-                tile.valid.data() + static_cast<std::size_t>(r) *
-                                        static_cast<std::size_t>(cols);
-            for (int c = 0; c < cols && !any; ++c) any = vrow[c] != 0;
-            if (any) ++work[static_cast<std::size_t>(q)];
-            if (tile.global_col_key >= 0 && !tile.global_col_rows.empty() &&
-                tile.global_col_rows[static_cast<std::size_t>(r)] != 0)
-                ++work[static_cast<std::size_t>(q)];
-        }
-        if (tile.global_row_query >= 0)
-            ++work[static_cast<std::size_t>(tile.global_row_query)];
-    }
-
-    std::int64_t total = 0;
-    for (std::int64_t w : work) total += w;
-
-    // Greedy prefix split: close each shard once it reaches its fair share
-    // of the remaining work. Every shard is non-empty (hi always advances),
-    // so at most min(num_shards, n) shards come back; the final shard takes
-    // whatever tail is left.
-    std::vector<QueryShard> shards;
-    int lo = 0;
-    std::int64_t remaining = total;
-    for (int s = 0; s < num_shards && lo < n; ++s) {
-        int hi;
-        if (s + 1 == num_shards) {
-            hi = n;  // last shard takes the tail
-        } else {
-            const int shards_left = num_shards - s;
-            const std::int64_t target = (remaining + shards_left - 1) / shards_left;
-            std::int64_t acc = 0;
-            hi = lo;
-            while (hi < n && (hi == lo || acc < target)) {
-                acc += work[static_cast<std::size_t>(hi)];
-                ++hi;
-            }
-            remaining -= acc;
-        }
-        shards.push_back(QueryShard{lo, hi});
-        lo = hi;
-    }
-    if (!shards.empty()) shards.back().hi = n;
-    return shards;
-}
-
 std::vector<int> reorder_permutation(int n, int dilation) {
     SALO_EXPECTS(n >= 1 && dilation >= 1);
     std::vector<int> perm;

@@ -85,22 +85,6 @@ struct SchedulePlan {
 SchedulePlan schedule(const HybridPattern& pattern, const ArrayGeometry& geometry,
                       int head_dim, const ScheduleOptions& options = {});
 
-/// A contiguous range of query rows [lo, hi) owned by one merge shard.
-struct QueryShard {
-    int lo = 0;
-    int hi = 0;
-};
-
-/// Partition a plan's query rows [0, n) into at most `num_shards` contiguous
-/// shards of roughly equal *merge work*, where a query's work is the number
-/// of output parts the plan will emit for it (window parts across tiles,
-/// global-column contributions, global-row contributions). Shards are
-/// independent: the weighted-sum state of different queries never interacts,
-/// so the per-shard part streams can be merged concurrently — the engine's
-/// deterministic ordered merge replays each shard in schedule order.
-/// Returns non-empty, disjoint, ascending shards covering [0, n).
-std::vector<QueryShard> partition_query_rows(const SchedulePlan& plan, int num_shards);
-
 /// The paper's explicit data-reordering permutation: query order grouping
 /// residue classes mod `dilation` ([0, d, 2d, ..., 1, 1+d, ...]). Provided
 /// for documentation/tests; schedule() applies the equivalent grouping

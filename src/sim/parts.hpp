@@ -20,12 +20,12 @@ struct TilePart {
     std::vector<std::int32_t> out_q;    ///< normalized output, Q.wsm_frac
 };
 
-/// Recycling allocator for TileParts. A worker lane executes many tiles per
-/// layer; allocating each part's out_q vector fresh dominated the original
+/// Recycling allocator for TileParts. A head executes many tiles;
+/// allocating each part's out_q vector fresh dominated the original
 /// profile, so the arena keeps every part (and its out_q capacity) alive
 /// across reset() and hands out cleared slots in order. Parts are addressed
-/// by stable indices — the backing vector may reallocate while spans are
-/// being recorded, so callers hold indices, not pointers.
+/// by index: alloc() may reallocate the backing vector, so a reference
+/// from alloc() or at() is valid only until the next alloc().
 class PartArena {
 public:
     /// Forget all parts but keep their buffers for reuse.
@@ -54,16 +54,6 @@ public:
 private:
     std::vector<TilePart> parts_;
     std::size_t used_ = 0;
-};
-
-/// Where one tile's output parts live: a contiguous index range in the
-/// arena of the worker lane that executed the tile. Recording spans per tile
-/// lets the merge phase replay parts in schedule order regardless of which
-/// lane ran which tile.
-struct PartSpan {
-    int lane = -1;
-    std::uint32_t first = 0;
-    std::uint32_t count = 0;
 };
 
 /// Per-stage cycle counts for one tile pass (paper Fig. 6's five stages).

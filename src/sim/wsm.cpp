@@ -28,17 +28,11 @@ WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit)
     SALO_EXPECTS(n >= 1 && d >= 1);
 }
 
-bool WeightedSumModule::merge_shard(const TilePart& part, int q_lo, int q_hi) {
-    if (part.query < q_lo || part.query >= q_hi) return false;
-    merge(part);
-    return true;
-}
-
 void WeightedSumModule::merge(const TilePart& part) {
     SALO_EXPECTS(part.query >= 0 && part.query < n_);
     SALO_EXPECTS(static_cast<int>(part.out_q.size()) == d_);
     if (part.weight == 0) return;  // massless part: no contribution
-    merges_.fetch_add(1, std::memory_order_relaxed);
+    ++merges_;
     const auto qi = static_cast<std::size_t>(part.query);
     std::int32_t* out = &out_q_[qi * static_cast<std::size_t>(d_)];
     if (!initialized_[qi]) {

@@ -12,7 +12,6 @@
 // quantizes to the paper's 16-bit output format.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -30,22 +29,13 @@ public:
 
     /// Merge one part into the running output of part.query (Eq. 2).
     ///
-    /// All merge state is per-query, so concurrent merges are safe whenever
-    /// the callers' query sets are disjoint — the property the parallel
-    /// engine exploits by sharding queries across worker lanes. The merge
-    /// *order within one query* still determines the rounded result; the
-    /// engine replays each shard's parts in schedule order to stay
-    /// bit-identical to the sequential pass.
+    /// The merge *order within one query* determines the rounded result;
+    /// the engine merges each head's parts in schedule order, on the one
+    /// lane that runs the head, so every lane count gives the same bits.
     void merge(const TilePart& part);
 
-    /// Sharded merge: apply `part` only if its query falls in [q_lo, q_hi).
-    /// Returns true if the part was merged. One worker lane per shard, with
-    /// disjoint ranges covering [0, n), merges a full part stream in
-    /// parallel while preserving the per-query merge order.
-    bool merge_shard(const TilePart& part, int q_lo, int q_hi);
-
     /// Number of parts merged so far (diagnostics).
-    std::int64_t merges() const { return merges_.load(std::memory_order_relaxed); }
+    std::int64_t merges() const { return merges_; }
 
     /// Final outputs as raw 16-bit Q7.8 (the accelerator's output format).
     Matrix<std::int16_t> finalize_raw() const;
@@ -60,7 +50,7 @@ private:
     std::vector<SumRaw> weight_;                ///< running W per query
     std::vector<std::int32_t> out_q_;           ///< running outputs, Q.wsm_frac
     std::vector<std::uint8_t> initialized_;
-    std::atomic<std::int64_t> merges_{0};       ///< relaxed; exact after join
+    std::int64_t merges_ = 0;
 };
 
 }  // namespace salo

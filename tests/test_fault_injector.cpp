@@ -10,7 +10,9 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/salo.hpp"
@@ -96,21 +98,32 @@ TEST(FaultInjector, MaxFaultsCapsInjection) {
 }
 
 TEST(FaultInjector, EngineLevelInjectorFaultsEveryRunUntilCap) {
-    const AttentionWorkload w = longformer_small(64, 8, 1, 16, 1);
-    const QkvSet qkv = make_qkv(w, 3);
-    SaloConfig config = serving_config(1);
-    FaultInjector::Config fc;
-    fc.fault_tiles = {0};
-    fc.max_faults = 1;
-    auto injector = std::make_shared<FaultInjector>(fc);
-    config.fault_injector = injector;
-    const SaloEngine engine(config);
-    const CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
-    EXPECT_THROW(engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale()), EngineFault);
-    // The cap is spent: the same engine serves the next run normally.
-    const LayerResult ok = engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale());
-    EXPECT_EQ(ok.output.count(), 1);
-    EXPECT_EQ(injector->faults_injected(), 1u);
+    // One head on one lane, and four heads on four lanes (one head per lane).
+    for (const auto& [heads, lanes] : {std::pair{1, 1}, std::pair{4, 4}}) {
+        SCOPED_TRACE(std::to_string(heads) + " heads, " + std::to_string(lanes) + " lanes");
+        const AttentionWorkload w = longformer_small(64, 8, heads, 16, 1);
+        const QkvSet qkv = make_qkv(w, 3);
+        SaloConfig config = serving_config(lanes);
+        FaultInjector::Config fc;
+        fc.fault_tiles = {0};
+        fc.max_faults = 1;
+        auto injector = std::make_shared<FaultInjector>(fc);
+        config.fault_injector = injector;
+        const SaloEngine engine(config);
+        const CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
+        const auto tiles = static_cast<std::uint64_t>(plan->plan().tiles.size());
+        EXPECT_THROW(engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale()), EngineFault);
+        EXPECT_EQ(injector->faults_injected(), 1u);
+        // The faulted head stopped at tile 0; its siblings were not abandoned.
+        EXPECT_EQ(injector->tiles_seen(), (static_cast<std::uint64_t>(heads) - 1) * tiles + 1);
+        // The cap is spent: the same engine serves the next run normally.
+        const LayerResult ok = engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale());
+        EXPECT_EQ(ok.output.count(), heads);
+        EXPECT_EQ(injector->faults_injected(), 1u);
+        const LayerResult one_lane =
+            SaloEngine(serving_config(1)).run(*plan, qkv.q, qkv.k, qkv.v, w.scale());
+        expect_identical_layer(ok, one_lane, "after the capped fault");
+    }
 }
 
 // -------------------------------------------------------------------------

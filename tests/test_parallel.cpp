@@ -1,7 +1,6 @@
-// The parallel tile-graph execution subsystem: determinism across thread
-// counts, the sharded weighted-sum merge, query-row shard partitioning, the
-// reference-vs-optimized datapath bit-identity, the dispatched kernels, and
-// the thread pool itself.
+// Parallel execution: determinism across thread counts (one head per lane),
+// the reference-vs-optimized datapath bit-identity, the dispatched kernels,
+// and the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include "numeric/quantize.hpp"
 #include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
-#include "sim/wsm.hpp"
 #include "workload/workloads.hpp"
 
 namespace salo {
@@ -52,38 +50,48 @@ void expect_identical(const LayerResult& a, const LayerResult& b, const char* wh
 
 // -------------------------------------------------------------------------
 // Determinism: identical outputs AND identical SimStats for any thread
-// count, at both fidelity levels. n and w are chosen so the plan has many
-// tiles (the tile-parallel path) and a global token (cross-shard queries).
+// count, at both fidelity levels. Each lane runs whole heads; the head
+// counts leave lanes idle (3 heads on 4 or 8 lanes) or unevenly loaded
+// (3 heads on 2 lanes, 5 on 4). The plans have many tiles and a global
+// token.
 // -------------------------------------------------------------------------
 
 TEST(ParallelEngine, FunctionalDeterministicAcrossThreadCounts) {
-    const auto workload = longformer_small(192, 16, 3, 16, 1);
-    const auto qkv = make_qkv(workload, 11);
-    const auto base = SaloEngine(config_with_threads(1))
-                          .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-    for (int threads : {2, 8}) {
-        const auto par = SaloEngine(config_with_threads(threads))
-                             .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                  workload.scale());
-        expect_identical(base, par, "functional");
+    for (int heads : {3, 5}) {
+        const auto workload = longformer_small(192, 16, heads, 16, 1);
+        const auto qkv = make_qkv(workload, 11);
+        const auto base = SaloEngine(config_with_threads(1))
+                              .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+        for (int threads : {2, 3, 4, 8}) {
+            const auto par = SaloEngine(config_with_threads(threads))
+                                 .run(workload.pattern, qkv.q, qkv.k, qkv.v,
+                                      workload.scale());
+            const std::string what = "functional, " + std::to_string(heads) + " heads, " +
+                                     std::to_string(threads) + " threads";
+            expect_identical(base, par, what.c_str());
+        }
     }
 }
 
 TEST(ParallelEngine, CycleAccurateDeterministicAcrossThreadCounts) {
-    const auto workload = longformer_small(64, 8, 2, 8, 1);
-    const auto qkv = make_qkv(workload, 5);
-    const auto base =
-        SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
-            .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-    for (int threads : {2, 8}) {
-        const auto par =
-            SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
+    for (int heads : {3, 5}) {
+        const auto workload = longformer_small(64, 8, heads, 8, 1);
+        const auto qkv = make_qkv(workload, 5);
+        const auto base =
+            SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
                 .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-        expect_identical(base, par, "cycle-accurate");
+        for (int threads : {2, 3, 4, 8}) {
+            const auto par =
+                SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
+                    .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+            const std::string what = "cycle-accurate, " + std::to_string(heads) +
+                                     " heads, " + std::to_string(threads) + " threads";
+            expect_identical(base, par, what.c_str());
+        }
     }
 }
 
-TEST(ParallelEngine, SingleHeadRunUsesTileParallelismDeterministically) {
+TEST(ParallelEngine, SingleHeadRunAtEightLanesMatchesOneLane) {
     const auto pattern = longformer(256, 32, 1);
     Rng rng(7);
     const auto q = random_matrix(256, 16, rng, 0.0, 0.8);
@@ -113,93 +121,6 @@ TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
                                   workload.scale());
         expect_identical(ref, opt, "reference vs optimized");
     }
-}
-
-// -------------------------------------------------------------------------
-// Sharded weighted-sum merge.
-// -------------------------------------------------------------------------
-
-TilePart make_part(int query, SumRaw weight, std::vector<std::int32_t> out) {
-    TilePart p;
-    p.query = query;
-    p.weight = weight;
-    p.out_q = std::move(out);
-    return p;
-}
-
-TEST(ShardedWsm, ShardRangeFiltersParts) {
-    const Reciprocal recip;
-    WeightedSumModule wsm(8, 2, recip);
-    const TilePart part = make_part(3, 1000, {100, -200});
-    EXPECT_FALSE(wsm.merge_shard(part, 0, 3));   // query 3 not in [0, 3)
-    EXPECT_FALSE(wsm.merge_shard(part, 4, 8));   // not in [4, 8)
-    EXPECT_EQ(wsm.merges(), 0);
-    EXPECT_TRUE(wsm.merge_shard(part, 3, 4));    // exactly covered
-    EXPECT_EQ(wsm.merges(), 1);
-}
-
-TEST(ShardedWsm, ShardedMergeMatchesSequentialMerge) {
-    // A realistic part stream: several queries, several parts per query,
-    // replayed (a) sequentially and (b) via disjoint shards that each scan
-    // the full stream in order. Rounding makes Eq. 2 merges order-sensitive
-    // per query, so equality here proves the shard replay preserves order.
-    const Reciprocal recip;
-    const int n = 16, d = 4;
-    Rng rng(99);
-    std::vector<TilePart> stream;
-    for (int round = 0; round < 6; ++round)
-        for (int q = 0; q < n; ++q) {
-            if ((q * 7 + round) % 3 == 0) continue;  // ragged coverage
-            std::vector<std::int32_t> out(d);
-            for (auto& x : out)
-                x = static_cast<std::int32_t>(rng.uniform_index(200000)) - 100000;
-            stream.push_back(make_part(q, 1 + rng.uniform_index(5000), out));
-        }
-
-    WeightedSumModule seq(n, d, recip);
-    for (const TilePart& p : stream) seq.merge(p);
-
-    WeightedSumModule sharded(n, d, recip);
-    const std::vector<std::pair<int, int>> shards = {{0, 5}, {5, 6}, {6, 16}};
-    for (const auto& [lo, hi] : shards)
-        for (const TilePart& p : stream) sharded.merge_shard(p, lo, hi);
-
-    EXPECT_EQ(seq.merges(), sharded.merges());
-    EXPECT_TRUE(seq.finalize_raw() == sharded.finalize_raw());
-}
-
-// -------------------------------------------------------------------------
-// Query-row shard partitioning.
-// -------------------------------------------------------------------------
-
-TEST(QueryShards, CoverEveryQueryExactlyOnce) {
-    const auto workload = longformer_small(200, 16, 1, 8, 2);
-    const SaloEngine engine(config_with_threads(1));
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
-    for (int shards : {1, 2, 3, 8, 64, 1000}) {
-        const auto ranges = partition_query_rows(plan, shards);
-        ASSERT_FALSE(ranges.empty()) << shards;
-        EXPECT_LE(static_cast<int>(ranges.size()), shards);
-        EXPECT_EQ(ranges.front().lo, 0);
-        EXPECT_EQ(ranges.back().hi, plan.n);
-        for (std::size_t i = 0; i < ranges.size(); ++i) {
-            EXPECT_LT(ranges[i].lo, ranges[i].hi) << "empty shard " << i;
-            if (i > 0) EXPECT_EQ(ranges[i].lo, ranges[i - 1].hi) << "gap at " << i;
-        }
-    }
-}
-
-TEST(QueryShards, BalancesMergeWork) {
-    const auto workload = longformer_small(512, 32, 1, 8, 1);
-    const SaloEngine engine(config_with_threads(1));
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
-    const auto ranges = partition_query_rows(plan, 4);
-    ASSERT_EQ(static_cast<int>(ranges.size()), 4);
-    // Uniform window work: shards should be within 2x of each other.
-    std::vector<int> sizes;
-    for (const auto& r : ranges) sizes.push_back(r.hi - r.lo);
-    const auto [mn, mx] = std::minmax_element(sizes.begin(), sizes.end());
-    EXPECT_LE(*mx, 2 * *mn);
 }
 
 // -------------------------------------------------------------------------
