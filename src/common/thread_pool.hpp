@@ -55,9 +55,8 @@ public:
     int lanes() const { return static_cast<int>(workers_.size()) + 1; }
 
     /// Run fn(index, lane) for every index in [0, count); blocks until all
-    /// complete. Indices are claimed dynamically in chunks of `chunk`
-    /// consecutive indices per ticket (larger chunks cut contention on the
-    /// counter when items are tiny); the caller participates as lane 0.
+    /// complete. Indices are claimed dynamically, one per ticket; the caller
+    /// participates as lane 0.
     ///
     /// Fault isolation: a throwing task never abandons its siblings — every
     /// index still runs, and the first exception is rethrown here after the
@@ -71,8 +70,7 @@ public:
     /// serialized on an internal mutex (SaloEngine is shared-const and its
     /// run() methods may race otherwise). Tasks must not call back into the
     /// same pool — a nested region would self-deadlock.
-    void parallel_for(int count, const std::function<void(int, int)>& fn,
-                      int chunk = 1) {
+    void parallel_for(int count, const std::function<void(int, int)>& fn) {
         if (count <= 0) return;
         if (workers_.empty() || count == 1) {
             // Inline path: same per-index fault isolation as the threaded
@@ -93,7 +91,6 @@ public:
             std::lock_guard<std::mutex> lock(m_);
             job_ = &fn;
             count_ = count;
-            chunk_ = chunk > 1 ? chunk : 1;
             next_.store(0, std::memory_order_relaxed);
             error_ = nullptr;
             active_ = static_cast<int>(workers_.size());
@@ -114,19 +111,15 @@ public:
 private:
     void drain(int lane) {
         const std::function<void(int, int)>* job = job_;
-        const int chunk = chunk_;
-        int begin;
-        while ((begin = next_.fetch_add(chunk, std::memory_order_relaxed)) < count_) {
-            const int end = begin + chunk < count_ ? begin + chunk : count_;
-            for (int i = begin; i < end; ++i) {
-                try {
-                    (*job)(i, lane);
-                } catch (...) {
-                    // Isolate the fault to this index: record the first
-                    // exception for the caller, keep running siblings.
-                    std::lock_guard<std::mutex> lock(m_);
-                    if (!error_) error_ = std::current_exception();
-                }
+        int i;
+        while ((i = next_.fetch_add(1, std::memory_order_relaxed)) < count_) {
+            try {
+                (*job)(i, lane);
+            } catch (...) {
+                // Isolate the fault to this index: record the first
+                // exception for the caller, keep running siblings.
+                std::lock_guard<std::mutex> lock(m_);
+                if (!error_) error_ = std::current_exception();
             }
         }
     }
@@ -152,7 +145,6 @@ private:
     std::condition_variable cv_done_;
     const std::function<void(int, int)>* job_ = nullptr;
     int count_ = 0;
-    int chunk_ = 1;
     std::atomic<int> next_{0};
     int active_ = 0;
     std::uint64_t generation_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 
 #include "numeric/reciprocal.hpp"  // normalize_prob (stage-4 scalar form)
 
@@ -488,6 +489,286 @@ __attribute__((target("avx512f"))) static void quantize_i8_avx512(const float* x
     }
 }
 
+// ---------------------------------------------------------------------------
+// Tile path: AVX-512 VNNI (vpdpbusd: u8 x s8, four products summed into
+// each int32 lane, no saturation) plus BW/VL for the byte masks.
+// ---------------------------------------------------------------------------
+
+#define SALO_TILE_ISA __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni,popcnt")))
+
+namespace {
+
+inline std::int32_t load_i32(const void* p) {
+    std::int32_t v = 0;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/// Low m bits set, m in [0, 16].
+inline __mmask16 low_lanes(int m) { return static_cast<__mmask16>((1u << m) - 1u); }
+
+/// Lanes j in [0, 16) with lo <= j < hi.
+inline __mmask16 lanes_between(int lo, int hi) {
+    lo = std::clamp(lo, 0, 16);
+    hi = std::clamp(hi, lo, 16);
+    return static_cast<__mmask16>(low_lanes(hi) & ~low_lanes(lo));
+}
+
+/// Bytes [0, min(64, rest)) of one 64-byte chunk.
+inline __mmask64 chunk_bytes(int rest) {
+    return rest >= 64 ? ~__mmask64{0} : (__mmask64{1} << rest) - 1;
+}
+
+}  // namespace
+
+/// out_l = [a.l, b.l, c.l, d.l] over the four 128-bit lanes l.
+SALO_TILE_ISA static inline void transpose_lanes4(__m512i a, __m512i b, __m512i c,
+                                                  __m512i d, __m512i& o0, __m512i& o1,
+                                                  __m512i& o2, __m512i& o3) {
+    const __m512i ab01 = _mm512_shuffle_i32x4(a, b, 0x44);  // a0 a1 b0 b1
+    const __m512i ab23 = _mm512_shuffle_i32x4(a, b, 0xEE);  // a2 a3 b2 b3
+    const __m512i cd01 = _mm512_shuffle_i32x4(c, d, 0x44);
+    const __m512i cd23 = _mm512_shuffle_i32x4(c, d, 0xEE);
+    o0 = _mm512_shuffle_i32x4(ab01, cd01, 0x88);  // a0 b0 c0 d0
+    o1 = _mm512_shuffle_i32x4(ab01, cd01, 0xDD);  // a1 b1 c1 d1
+    o2 = _mm512_shuffle_i32x4(ab23, cd23, 0x88);
+    o3 = _mm512_shuffle_i32x4(ab23, cd23, 0xDD);
+}
+
+/// In-place 16x16 dword transpose: afterwards r[g] holds dword g of the
+/// sixteen input rows.
+SALO_TILE_ISA static inline void transpose16_epi32(__m512i (&r)[16]) {
+    __m512i t[16];
+    for (int i = 0; i < 8; ++i) {
+        t[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4i+j], lane l: dword 4l+j of rows 4i..4i+3.
+    __m512i u[16];
+    for (int i = 0; i < 4; ++i) {
+        u[4 * i] = _mm512_unpacklo_epi64(t[4 * i], t[4 * i + 2]);
+        u[4 * i + 1] = _mm512_unpackhi_epi64(t[4 * i], t[4 * i + 2]);
+        u[4 * i + 2] = _mm512_unpacklo_epi64(t[4 * i + 1], t[4 * i + 3]);
+        u[4 * i + 3] = _mm512_unpackhi_epi64(t[4 * i + 1], t[4 * i + 3]);
+    }
+    for (int j = 0; j < 4; ++j)
+        transpose_lanes4(u[j], u[4 + j], u[8 + j], u[12 + j], r[j], r[4 + j], r[8 + j],
+                         r[12 + j]);
+}
+
+SALO_TILE_ISA static void stage_k_vnni(const std::int8_t* kbase, int n, int d,
+                                       std::int64_t key_base, int dilation, int len,
+                                       std::uint8_t* out) {
+    const int ng = d / 4;
+    const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
+    for (int s0 = 0; s0 < len; s0 += 16) {
+        for (int c0 = 0; c0 < d; c0 += 64) {
+            const __mmask64 bytes = chunk_bytes(d - c0);
+            __m512i r[16];
+            for (int i = 0; i < 16; ++i) {
+                const std::int64_t key = key_base + std::int64_t{s0 + i} * dilation;
+                r[i] = s0 + i < len && key >= 0 && key < n
+                           ? _mm512_xor_si512(
+                                 _mm512_maskz_loadu_epi8(
+                                     bytes, kbase + key * d + c0),
+                                 bias)
+                           : _mm512_setzero_si512();
+            }
+            transpose16_epi32(r);
+            std::uint8_t* o =
+                out + (static_cast<std::size_t>(s0 / 16) * ng + c0 / 4) * 64;
+            const int groups = std::min(16, (d - c0) / 4);
+            for (int g = 0; g < groups; ++g) _mm512_storeu_si512(o + 64 * g, r[g]);
+        }
+    }
+}
+
+SALO_TILE_ISA static void stage_v_vnni(const std::int8_t* vbase, int n, int d,
+                                       std::int64_t key_base, int dilation, int len,
+                                       std::uint8_t* out) {
+    const int nb = d / 16;
+    for (int s0 = 0; s0 < len; s0 += 4) {
+        for (int c0 = 0; c0 < d; c0 += 64) {
+            const __mmask64 bytes = chunk_bytes(d - c0);
+            __m512i r[4];
+            for (int i = 0; i < 4; ++i) {
+                const std::int64_t key = key_base + std::int64_t{s0 + i} * dilation;
+                r[i] = s0 + i < len && key >= 0 && key < n
+                           ? _mm512_maskz_loadu_epi8(bytes, vbase + key * d + c0)
+                           : _mm512_setzero_si512();
+            }
+            // Per 128-bit lane l (dims 16l..16l+15): x_i holds dims
+            // 16l+4i..16l+4i+3 of the four keys, key-minor.
+            const __m512i a0 = _mm512_unpacklo_epi8(r[0], r[1]);
+            const __m512i a1 = _mm512_unpackhi_epi8(r[0], r[1]);
+            const __m512i b0 = _mm512_unpacklo_epi8(r[2], r[3]);
+            const __m512i b1 = _mm512_unpackhi_epi8(r[2], r[3]);
+            __m512i blk[4];
+            transpose_lanes4(_mm512_unpacklo_epi16(a0, b0), _mm512_unpackhi_epi16(a0, b0),
+                             _mm512_unpacklo_epi16(a1, b1), _mm512_unpackhi_epi16(a1, b1),
+                             blk[0], blk[1], blk[2], blk[3]);
+            std::uint8_t* o =
+                out + (static_cast<std::size_t>(s0 / 4) * nb + c0 / 16) * 64;
+            const int blocks = std::min(4, (d - c0) / 16);
+            for (int b = 0; b < blocks; ++b) _mm512_storeu_si512(o + 64 * b, blk[b]);
+        }
+    }
+}
+
+/// One 16-slot block of the score band over CG dword groups, K held in
+/// registers across the block's rows. The first group chunk starts each
+/// row at -128 * qsum; later chunks (d > 64) add to the stored partial sum.
+template <int CG>
+SALO_TILE_ISA static inline void score_block(const std::uint8_t* kb, int g0, int d,
+                                             const std::int8_t* qbase,
+                                             const std::int32_t* qsum,
+                                             const std::int32_t* query_ids, int r_lo,
+                                             int r_hi, std::int32_t* band_col, int stride) {
+    __m512i k[CG];
+    for (int g = 0; g < CG; ++g) k[g] = _mm512_loadu_si512(kb + 64 * g);
+    for (int r = r_lo; r < r_hi; ++r) {
+        const int qi = query_ids[r];
+        if (qi < 0) continue;
+        const std::int8_t* q =
+            qbase + static_cast<std::size_t>(qi) * static_cast<std::size_t>(d) + 4 * g0;
+        std::int32_t* dst = band_col + static_cast<std::size_t>(r) * stride;
+        __m512i a0 = g0 == 0 ? _mm512_set1_epi32(-128 * qsum[qi]) : _mm512_loadu_si512(dst);
+        __m512i a1 = _mm512_setzero_si512();
+        for (int g = 0; g < CG; g += 2) {
+            a0 = _mm512_dpbusd_epi32(a0, k[g], _mm512_set1_epi32(load_i32(q + 4 * g)));
+            a1 = _mm512_dpbusd_epi32(a1, k[g + 1],
+                                     _mm512_set1_epi32(load_i32(q + 4 * g + 4)));
+        }
+        _mm512_storeu_si512(dst, _mm512_add_epi32(a0, a1));
+    }
+}
+
+SALO_TILE_ISA static void score_band_vnni(const std::uint8_t* kstaged, int d, int len,
+                                          const std::int8_t* qbase,
+                                          const std::int32_t* qsum,
+                                          const std::int32_t* query_ids, int rows,
+                                          int width, std::int32_t* band, int stride) {
+    const int ng = d / 4;
+    for (int b = 0; 16 * b < len; ++b) {
+        // Rows whose slots [r, r + width) meet the block's [16b, 16b + 16).
+        const int r_lo = std::max(0, 16 * b - width + 1);
+        const int r_hi = std::min(rows, 16 * b + 16);
+        const std::uint8_t* kb = kstaged + static_cast<std::size_t>(b) * ng * 64;
+        std::int32_t* band_col = band + 16 * b;
+        for (int g0 = 0; g0 < ng; g0 += 16) {
+            const std::uint8_t* kc = kb + 64 * g0;
+            switch (std::min(16, ng - g0)) {
+                case 4:
+                    score_block<4>(kc, g0, d, qbase, qsum, query_ids, r_lo, r_hi, band_col,
+                                   stride);
+                    break;
+                case 8:
+                    score_block<8>(kc, g0, d, qbase, qsum, query_ids, r_lo, r_hi, band_col,
+                                   stride);
+                    break;
+                case 12:
+                    score_block<12>(kc, g0, d, qbase, qsum, query_ids, r_lo, r_hi,
+                                    band_col, stride);
+                    break;
+                default:
+                    score_block<16>(kc, g0, d, qbase, qsum, query_ids, r_lo, r_hi,
+                                    band_col, stride);
+                    break;
+            }
+        }
+    }
+}
+
+SALO_TILE_ISA static int select_vnni(const std::int32_t* band_row,
+                                     const std::uint8_t* valid, int width, int in_lo,
+                                     int in_hi, std::int32_t* out) {
+    int count = 0;
+    for (int j0 = 0; j0 < width; j0 += 16) {
+        const __mmask16 lanes = low_lanes(std::min(16, width - j0));
+        const __m128i vb = _mm_maskz_loadu_epi8(lanes, valid + j0);
+        const __mmask16 sel = _mm_test_epi8_mask(vb, vb);
+        if ((sel & ~lanes_between(in_lo - j0, in_hi - j0)) != 0) return -1;
+        const __m512i s = _mm512_maskz_loadu_epi32(lanes, band_row + j0);
+        _mm512_storeu_si512(out + count, _mm512_maskz_compress_epi32(sel, s));
+        count += __builtin_popcount(sel);
+    }
+    return count;
+}
+
+/// Stage-5 accumulation of NB (<= 4) 16-dim blocks over ngr 4-slot groups;
+/// lo/hi are the byte planes of the row's weights, group-aligned.
+template <int NB>
+SALO_TILE_ISA static inline void wacc_blocks(std::int32_t* acc, const std::uint8_t* lo,
+                                             const std::uint8_t* hi, int ngr,
+                                             const std::uint8_t* vg,
+                                             std::size_t group_bytes) {
+    __m512i al[NB], ah[NB];
+    for (int b = 0; b < NB; ++b) al[b] = ah[b] = _mm512_setzero_si512();
+    for (int g = 0; g < ngr; ++g) {
+        const __m512i sl = _mm512_set1_epi32(load_i32(lo + 4 * g));
+        const __m512i sh = _mm512_set1_epi32(load_i32(hi + 4 * g));
+        const std::uint8_t* v = vg + static_cast<std::size_t>(g) * group_bytes;
+        for (int b = 0; b < NB; ++b) {
+            const __m512i vv = _mm512_loadu_si512(v + 64 * b);
+            al[b] = _mm512_dpbusd_epi32(al[b], sl, vv);
+            ah[b] = _mm512_dpbusd_epi32(ah[b], sh, vv);
+        }
+    }
+    for (int b = 0; b < NB; ++b) {
+        const __m512i sum = _mm512_add_epi32(_mm512_slli_epi32(ah[b], 8), al[b]);
+        _mm512_storeu_si512(acc + 16 * b,
+                            _mm512_add_epi32(_mm512_loadu_si512(acc + 16 * b), sum));
+    }
+}
+
+SALO_TILE_ISA static void wacc_stream_vnni(std::int32_t* acc, const std::uint32_t* sps,
+                                           const std::uint8_t* valid, int width, int slot0,
+                                           const std::uint8_t* vstaged, int d,
+                                           std::uint8_t* bytes) {
+    // Byte planes indexed from the first slot of slot0's group; slots
+    // outside the row's valid set stay zero.
+    const int off = slot0 & 3;
+    const int plane = ((off + width + 15) & ~15) + 16;
+    std::uint8_t* lo = bytes;
+    std::uint8_t* hi = bytes + plane;
+    for (int i = 0; i < 2 * plane; i += 16)
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(bytes + i), _mm_setzero_si128());
+    int pos = 0;
+    for (int j0 = 0; j0 < width; j0 += 16) {
+        const __mmask16 lanes = low_lanes(std::min(16, width - j0));
+        const __m128i vb = _mm_maskz_loadu_epi8(lanes, valid + j0);
+        const __mmask16 sel = _mm_test_epi8_mask(vb, vb);
+        const __m512i sp = _mm512_maskz_expandloadu_epi32(sel, sps + pos);
+        pos += __builtin_popcount(sel);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(lo + off + j0), _mm512_cvtepi32_epi8(sp));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(hi + off + j0),
+                         _mm512_cvtepi32_epi8(_mm512_srli_epi32(sp, 8)));
+    }
+    const int ngr = (off + width + 3) / 4;
+    const int nb = d / 16;
+    const std::size_t group_bytes = static_cast<std::size_t>(nb) * 64;
+    const std::uint8_t* vg = vstaged + static_cast<std::size_t>(slot0 / 4) * group_bytes;
+    for (int b0 = 0; b0 < nb; b0 += 4) {
+        std::int32_t* a = acc + 16 * b0;
+        const std::uint8_t* v = vg + 64 * b0;
+        switch (std::min(4, nb - b0)) {
+            case 1: wacc_blocks<1>(a, lo, hi, ngr, v, group_bytes); break;
+            case 2: wacc_blocks<2>(a, lo, hi, ngr, v, group_bytes); break;
+            case 3: wacc_blocks<3>(a, lo, hi, ngr, v, group_bytes); break;
+            default: wacc_blocks<4>(a, lo, hi, ngr, v, group_bytes); break;
+        }
+    }
+}
+
+static bool tile_isa_ok() {
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+           __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni");
+}
+static TileKernels pick_tile_kernels() {
+    if (!tile_isa_ok()) return {};
+    return {stage_k_vnni, stage_v_vnni, score_band_vnni, select_vnni, wacc_stream_vnni};
+}
+
 static DotI8Fn pick_dot() {
     if (__builtin_cpu_supports("avx512bw")) return dot_i8_avx512;
     if (__builtin_cpu_supports("avx2")) return dot_i8_avx2;
@@ -519,6 +800,7 @@ static RoundShiftFn pick_round_shift() {
 static MixFn pick_mix() { return avx512_dq_ok() ? mix_i32_avx512 : mix_i32_scalar; }
 static QuantizeI8Fn pick_quantize() { return quantize_i8_levels().front().second; }
 static const char* pick_name() {
+    if (tile_isa_ok()) return "avx512vnni";
     if (__builtin_cpu_supports("avx512bw")) return "avx512bw";
     if (__builtin_cpu_supports("avx2")) return "avx2";
     return "scalar";
@@ -532,6 +814,7 @@ const NormProbsFn normalize_probs = pick_norm();
 const RoundShiftFn round_shift_i32 = pick_round_shift();
 const MixFn mix_i32 = pick_mix();
 const QuantizeI8Fn quantize_i8 = pick_quantize();
+const TileKernels tile_kernels = pick_tile_kernels();
 const char* isa_name() { return pick_name(); }
 
 std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels() {
@@ -552,6 +835,7 @@ const NormProbsFn normalize_probs = normalize_probs_scalar;
 const RoundShiftFn round_shift_i32 = round_shift_i32_scalar;
 const MixFn mix_i32 = mix_i32_scalar;
 const QuantizeI8Fn quantize_i8 = quantize_i8_scalar;
+const TileKernels tile_kernels{};
 const char* isa_name() { return "scalar"; }
 
 std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels() {

@@ -72,11 +72,9 @@ TilePart build_part(const PwlExp& exp_unit, const Reciprocal& recip_unit,
     return part;
 }
 
-void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
-                     const Matrix<std::int8_t>& v, int query, const ScoreRaw* scores,
-                     const int* key_ids, int count, ActivityStats& activity,
-                     TilePart& part, PartScratch& scratch) {
-    const int d = v.cols();
+bool normalize_part(const PwlExp& exp_unit, const Reciprocal& recip_unit, int query,
+                    const ScoreRaw* scores, int count, ActivityStats& activity,
+                    TilePart& part, PartScratch& scratch) {
     part.query = query;  // out_q arrives zeroed and sized d from the arena
 
     // Stage 2: PWL exponential per element; stage 3: row accumulation.
@@ -87,23 +85,35 @@ void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
     for (int c = 0; c < count; ++c) weight += exps[c];
     activity.exp_ops += count;
     part.weight = weight;
-    if (weight == 0) return;  // all terms underflowed; part carries no mass
+    if (weight == 0) return false;  // all terms underflowed; part carries no mass
 
     // Stage 3: broadcast 1/W; stage 4: S' = exp * inv.
     const InvRaw inv = recip_unit.inv_raw(weight);
     scratch.sps.resize(static_cast<std::size_t>(count));
-    std::uint32_t* sps = scratch.sps.data();
-    kernels::normalize_probs(exps, count, inv, sps);
+    kernels::normalize_probs(exps, count, inv, scratch.sps.data());
+    return true;
+}
 
-    // Stage 5: out = sum_c S'_c * v_c at Q.(sprime+in) = Q.19, accumulated
-    // in int32 directly in part.out_q (exact: the S' of one row sum to ~1.0,
-    // so |acc| < 2^23), then renormalized in place to Q.wsm_frac.
+void finish_part(int count, ActivityStats& activity, TilePart& part) {
+    // Stage 5 accumulated out = sum_c S'_c * v_c at Q.(sprime+in) = Q.19;
+    // renormalize in place to Q.wsm_frac.
     constexpr int acc_frac = Datapath::sprime_frac + Datapath::in_frac;  // 19
     constexpr int shift = acc_frac - Datapath::wsm_frac;                 // 3
-    std::int32_t* out = part.out_q.data();
-    kernels::wacc_sp_i8(out, sps, key_ids, count, v.data().data(), d);
-    activity.mac_ops += static_cast<std::int64_t>(count) * d;
-    kernels::round_shift_i32(out, d, shift);
+    activity.mac_ops += static_cast<std::int64_t>(count) *
+                        static_cast<std::int64_t>(part.out_q.size());
+    kernels::round_shift_i32(part.out_q.data(), static_cast<int>(part.out_q.size()), shift);
+}
+
+void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
+                     const Matrix<std::int8_t>& v, int query, const ScoreRaw* scores,
+                     const int* key_ids, int count, ActivityStats& activity,
+                     TilePart& part, PartScratch& scratch) {
+    if (!normalize_part(exp_unit, recip_unit, query, scores, count, activity, part,
+                        scratch))
+        return;
+    kernels::wacc_sp_i8(part.out_q.data(), scratch.sps.data(), key_ids, count,
+                        v.data().data(), v.cols());
+    finish_part(count, activity, part);
 }
 
 }  // namespace salo

@@ -6,6 +6,8 @@
 // cross-checked against this path by tests.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "numeric/pwl_exp.hpp"
@@ -25,20 +27,51 @@ TilePart build_part(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                     const std::vector<ScoreRaw>& scores, const std::vector<int>& key_ids,
                     ActivityStats& activity);
 
-/// Scratch buffers reused across build_part_into calls (no per-part heap
+/// One tile segment's staged state on the tile path (TileExecutor): byte
+/// offsets of its staged K and V streams in PartScratch::staged, the int32
+/// offset and row stride of its score band in PartScratch::band, and the
+/// stream slots whose keys lie in [0, n).
+struct StagedSegment {
+    std::size_t k_offset = 0;
+    std::size_t v_offset = 0;
+    std::size_t band_offset = 0;
+    int band_stride = 0;
+    int slot_lo = 0;
+    int slot_hi = 0;
+    int count = 0;  ///< the current row's valid slots in this segment
+};
+
+/// Scratch buffers reused across tiles and parts (no per-part heap
 /// traffic). One instance per worker lane.
 struct PartScratch {
     std::vector<ScoreRaw> scores;
     std::vector<int> keys;
     std::vector<ExpRaw> exps;
     std::vector<std::uint32_t> sps;  ///< stage-4 probabilities (Q.15)
+    // Tile path: staged K/V streams and score bands of the current tile.
+    std::vector<std::uint8_t> staged;
+    std::vector<std::int32_t> band;
+    std::vector<StagedSegment> segments;
+    std::vector<std::uint8_t> sp_bytes;  ///< one row's stage-5 lo/hi byte planes
 };
 
+/// Stages 2-4 of one part: PWL exponential, row sum, reciprocal and
+/// normalization. Sets part.query and part.weight and, when the weight is
+/// non-zero, fills scratch.sps[0, count). Returns false when every term
+/// underflowed (the part carries no mass and stage 5 is skipped).
+bool normalize_part(const PwlExp& exp_unit, const Reciprocal& recip_unit, int query,
+                    const ScoreRaw* scores, int count, ActivityStats& activity,
+                    TilePart& part, PartScratch& scratch);
+
+/// Stage-5 epilogue: counts the part's `count * d` MACs and renormalizes the
+/// Q.19 accumulator in part.out_q to Q.wsm_frac in place.
+void finish_part(int count, ActivityStats& activity, TilePart& part);
+
 /// Fast path: same computation as build_part, written into an arena-owned
-/// part. Stage 5 accumulates sp * v directly into part.out_q in int32 —
-/// exact, because the Q.15 probabilities of a row sum to ~1.0 (bounded by
-/// 1 + the reciprocal unit's relative error), keeping |acc| < 2^23 — and
-/// the final Q.19 -> Q.wsm_frac renormalization happens in place.
+/// part (normalize_part, then stage 5 by wacc_sp_i8, then finish_part).
+/// Stage 5 accumulates sp * v directly into part.out_q in int32 — exact,
+/// because the Q.15 probabilities of a row sum to ~1.0 (bounded by 1 + the
+/// reciprocal unit's relative error), keeping |acc| < 2^23.
 /// Bit-identical to build_part for every input (tested).
 void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                      const Matrix<std::int8_t>& v, int query, const ScoreRaw* scores,

@@ -7,15 +7,28 @@
 // bit-identical values (it calls the same numeric kernels in a timed loop);
 // this class is the fast path used for full-layer runs.
 //
-// Two entry points with bit-identical outputs:
-//   * run(tile, arena, activity, scratch) — the hot path: dispatched SIMD
-//     dot products, segment-wise key streaming (no per-column segment
-//     lookups), and arena-recycled parts with zero per-tile heap traffic.
-//     Thread-safe: concurrent calls on one executor are fine as long as each
-//     worker lane owns its arena and scratch.
-//   * run(tile, parts, activity) — the original scalar implementation,
-//     preserved verbatim as the reference baseline for bench_throughput and
-//     for the bit-identity tests.
+// run(tile, arena, activity, scratch) is the hot path. It executes a tile's
+// PE-array rows on one of two datapaths, chosen per tile from what the code
+// observes and never from an option:
+//   * The tile path, as the hardware does it (paper §4.1/§5.2): a key
+//     enters once and flows diagonally through every row. Each segment's
+//     K/V stream is staged once (kernels::TileKernels), stage 1 computes
+//     the whole rows x stream score band, and each row takes its valid
+//     scores from the band and runs stage 5 against the staged V. It runs
+//     when the host has AVX-512 VNNI (every kernels::tile_kernels field is
+//     set), d is a multiple of 16, and the tile has at least
+//     kTilePathMinRows active rows.
+//   * The row path (run_rows): each row gathers its keys and calls the
+//     row-batched dot_i8_rows and wacc_sp_i8. It runs all remaining tiles.
+// The global PE row and column always take the row path's kernels, and
+// stages 2-4 are shared (normalize_part), so both paths emit the same
+// parts, in the same order, bit for bit (tested).
+// Thread-safe: concurrent calls on one executor are fine as long as each
+// worker lane owns its arena and scratch.
+//
+// run(tile, parts, activity) is the original scalar implementation,
+// preserved verbatim as the reference baseline for bench_throughput and for
+// the bit-identity tests.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +50,24 @@ public:
                  const Matrix<std::int8_t>& q, const Matrix<std::int8_t>& k,
                  const Matrix<std::int8_t>& v);
 
-    /// Hot path: execute one tile, appending its output parts (PE-array
-    /// rows, global-column contributions, global-row contribution, in that
-    /// order) to `arena` and updating activity counters. `scratch` is reused
-    /// across calls; use one arena + scratch per worker lane.
+    /// Hot path: execute one tile, appending its output parts (per PE row:
+    /// the window part, then the global-column part; then the global-row
+    /// part) to `arena` and updating activity counters. `scratch` is reused
+    /// across calls; use one arena + scratch per worker lane. Takes the
+    /// tile path when tile_path(tile), the row path otherwise.
     void run(const TileTask& tile, PartArena& arena, ActivityStats& activity,
              PartScratch& scratch) const;
+
+    /// The row path on any tile: identical results to run().
+    void run_rows(const TileTask& tile, PartArena& arena, ActivityStats& activity,
+                  PartScratch& scratch) const;
+
+    /// Whether run() executes this tile on the tile path.
+    bool tile_path(const TileTask& tile) const;
+
+    /// Fewest active rows (query id >= 0) for which the tile path wins; see
+    /// docs/PERFORMANCE.md, "Hot-path kernels", for the measured table.
+    static constexpr int kTilePathMinRows = 4;
 
     /// Reference path: identical results into a plain vector (the original
     /// per-tile implementation; scalar, allocation-heavy).
@@ -57,11 +82,20 @@ public:
     int n() const { return q_->rows(); }
 
 private:
+    void execute(const TileTask& tile, PartArena& arena, ActivityStats& activity,
+                 PartScratch& scratch, bool tiled) const;
+    /// Stage every segment's K/V stream over the tile's active rows and
+    /// compute its score band; returns the first active row.
+    int stage_tile(const TileTask& tile, PartScratch& scratch) const;
+
     const PwlExp* exp_unit_;
     const Reciprocal* recip_unit_;
     const Matrix<std::int8_t>* q_;
     const Matrix<std::int8_t>* k_;
     const Matrix<std::int8_t>* v_;
+    /// Per query row: the sum of its int8 q values (the tile path's u8-bias
+    /// correction); empty when the tile path cannot run.
+    std::vector<std::int32_t> qsum_;
 };
 
 }  // namespace salo

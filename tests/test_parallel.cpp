@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "common/rng.hpp"
@@ -105,21 +106,49 @@ TEST(ParallelEngine, SingleHeadRunAtEightLanesMatchesOneLane) {
 }
 
 // -------------------------------------------------------------------------
-// Reference (seed) datapath vs optimized kernels: bit-identical end to end.
+// Reference (seed) datapath vs optimized kernels: bit-identical end to end,
+// over every segment layout the scheduler emits (single, dilated,
+// column-packed multi-segment), a non-square array and d = 16, 64, 128. On
+// an AVX-512 VNNI host the optimized datapath runs these tiles on the tile
+// path.
 // -------------------------------------------------------------------------
 
+struct DatapathShape {
+    const char* name;
+    HybridPattern pattern;
+    int head_dim;
+    int rows;
+    int cols;
+};
+
 TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
-    const auto workload = longformer_small(128, 16, 2, 16, 1);
-    const auto qkv = make_qkv(workload, 3);
-    SaloConfig ref_cfg = config_with_threads(1);
-    ref_cfg.reference_datapath = true;
-    const auto ref = SaloEngine(ref_cfg).run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                             workload.scale());
-    for (int threads : {1, 8}) {
-        const auto opt = SaloEngine(config_with_threads(threads))
-                             .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                  workload.scale());
-        expect_identical(ref, opt, "reference vs optimized");
+    const std::vector<DatapathShape> shapes = {
+        {"longformer d16, 8x8", longformer(128, 16, 1), 16, 8, 8},
+        {"longformer d64 w64, two globals", longformer(256, 64, 2), 64, 32, 32},
+        {"longformer d128", longformer(160, 64, 1), 128, 32, 32},
+        {"dilated window", dilated_window(256, -12, 12, 3), 64, 32, 32},
+        {"vil_2d, packed segments", vil_2d(12, 12, 5, 5, 1), 64, 32, 32},
+        {"longformer on a 16x48 array", longformer(256, 96, 1), 64, 16, 48},
+    };
+    for (const DatapathShape& shape : shapes) {
+        const AttentionWorkload workload{shape.name, shape.pattern, 2, shape.head_dim, 0, 0.0};
+        const auto qkv = make_qkv(workload, 3);
+        auto config = [&](int threads) {
+            SaloConfig c = config_with_threads(threads);
+            c.geometry.rows = shape.rows;
+            c.geometry.cols = shape.cols;
+            return c;
+        };
+        SaloConfig ref_cfg = config(1);
+        ref_cfg.reference_datapath = true;
+        const auto ref = SaloEngine(ref_cfg).run(workload.pattern, qkv.q, qkv.k, qkv.v,
+                                                 workload.scale());
+        for (int threads : {1, 8}) {
+            const auto opt = SaloEngine(config(threads))
+                                 .run(workload.pattern, qkv.q, qkv.k, qkv.v,
+                                      workload.scale());
+            expect_identical(ref, opt, shape.name);
+        }
     }
 }
 
@@ -153,6 +182,15 @@ TEST(Kernels, DispatchedRowDotAndWaccMatchScalar) {
             keys[i] = static_cast<int>(rng.uniform_index(n));
             sps[i] = i % 5 == 0 ? 0 : rng.uniform_index(1 << 15);
         }
+        // Extremes: sp past int16 (a single-element part's sp is 32768, and
+        // real parts reach 32771) against all -128 and all 127 V rows.
+        std::fill_n(base.begin(), d, std::int8_t{-128});
+        std::fill_n(base.begin() + d, d, std::int8_t{127});
+        const std::uint32_t wide[] = {32767, 32768, 32771};
+        for (int i = 0; i < 6; ++i) {
+            keys[static_cast<std::size_t>(1 + i)] = i % 2;
+            sps[static_cast<std::size_t>(1 + i)] = wide[i % 3];
+        }
         std::vector<std::int32_t> s1(count), s2(count);
         kernels::dot_i8_rows(q.data(), base.data(), keys.data(), count, d, s1.data());
         kernels::dot_i8_rows_scalar(q.data(), base.data(), keys.data(), count, d,
@@ -165,6 +203,154 @@ TEST(Kernels, DispatchedRowDotAndWaccMatchScalar) {
         kernels::wacc_sp_i8_scalar(a2.data(), sps.data(), keys.data(), count,
                                    base.data(), d);
         EXPECT_EQ(a1, a2) << "wacc d=" << d;
+    }
+}
+
+// -------------------------------------------------------------------------
+// Tile path vs row path on generated tiles: random segment layouts
+// (1-3 segments, dilation 1-3), stream keys running off both ends of
+// [0, n), clipped and single-slot valid masks, inactive rows, global PE
+// row and column work, extreme V rows, rows in {1, R, 32} and d in
+// {16, 32, 64, 128}. Every TilePart and the ActivityStats must match.
+// -------------------------------------------------------------------------
+
+TileTask random_tile(Rng& rng, int active, int n) {
+    const int rows = rng.uniform_index(2) == 0 ? 32 : active;  // active <= 32
+    const int cols = std::vector<int>{8, 16, 32, 40}[rng.uniform_index(4)];
+    TileTask tile;
+    tile.query_ids.assign(static_cast<std::size_t>(rows), -1);
+    const int first = static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(rows - active + 1)));
+    for (int r = first; r < first + active; ++r)
+        tile.query_ids[static_cast<std::size_t>(r)] = static_cast<int>(rng.uniform_index(n));
+    const int num_segments = 1 + static_cast<int>(rng.uniform_index(3));
+    int col = 0;
+    for (int s = 0; s < num_segments && col < cols; ++s) {
+        TileSegment seg;
+        seg.col_begin = col;
+        seg.col_end = s + 1 == num_segments
+                          ? cols
+                          : col + 1 + static_cast<int>(rng.uniform_index(cols - col));
+        seg.dilation = 1 + static_cast<int>(rng.uniform_index(3));
+        // Streams start up to one stream length before key 0 and may run
+        // past n - 1.
+        const int span = seg.stream_length(rows) * seg.dilation;
+        seg.key_base = static_cast<std::int64_t>(rng.uniform_index(n + span)) - span;
+        col = seg.col_end;
+        tile.segments.push_back(seg);
+    }
+    tile.valid.assign(static_cast<std::size_t>(rows) * cols, 0);
+    for (int r = 0; r < rows; ++r) {
+        if (tile.query_ids[static_cast<std::size_t>(r)] < 0) continue;
+        const int mode = static_cast<int>(rng.uniform_index(4));  // 0 empty, 1 one slot
+        std::vector<int> in_range;
+        for (const TileSegment& seg : tile.segments)
+            for (int c = seg.col_begin; c < seg.col_end; ++c) {
+                const std::int64_t key = seg.key_at(r, c);
+                if (key >= 0 && key < n) in_range.push_back(c);
+            }
+        if (mode == 0 || in_range.empty()) continue;
+        if (mode == 1) {
+            tile.valid[static_cast<std::size_t>(r * cols +
+                                                in_range[rng.uniform_index(in_range.size())])] = 1;
+            continue;
+        }
+        for (int c : in_range)
+            if (mode == 3 || rng.uniform_index(4) != 0)
+                tile.valid[static_cast<std::size_t>(r * cols + c)] = 1;
+    }
+    if (rng.uniform_index(2) == 0) {
+        tile.global_col_key = static_cast<int>(rng.uniform_index(n));
+        tile.global_col_rows.assign(static_cast<std::size_t>(rows), 0);
+        for (int r = 0; r < rows; ++r)
+            if (tile.query_ids[static_cast<std::size_t>(r)] >= 0 && rng.uniform_index(2) == 0)
+                tile.global_col_rows[static_cast<std::size_t>(r)] = 1;
+    }
+    tile.global_fresh.assign(static_cast<std::size_t>(tile.total_stream_length()), 0);
+    if (rng.uniform_index(2) == 0) {
+        tile.global_row_query = static_cast<int>(rng.uniform_index(n));
+        int slot = 0;
+        for (const TileSegment& seg : tile.segments)
+            for (int s = 0; s < seg.stream_length(rows); ++s, ++slot) {
+                const std::int64_t key = seg.stream_key(s);
+                if (key >= 0 && key < n && rng.uniform_index(3) == 0)
+                    tile.global_fresh[static_cast<std::size_t>(slot)] = 1;
+            }
+    }
+    return tile;
+}
+
+::testing::AssertionResult same_parts(const PartArena& a, const PartArena& b) {
+    if (a.used() != b.used())
+        return ::testing::AssertionFailure() << a.used() << " vs " << b.used() << " parts";
+    for (std::size_t i = 0; i < a.used(); ++i) {
+        const TilePart& x = a.at(i);
+        const TilePart& y = b.at(i);
+        if (x.query != y.query || x.weight != y.weight || x.out_q != y.out_q)
+            return ::testing::AssertionFailure()
+                   << "part " << i << ": query " << x.query << "/" << y.query << ", weight "
+                   << x.weight << "/" << y.weight;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
+    if (kernels::tile_kernels.score_band == nullptr)
+        GTEST_SKIP() << "host lacks AVX-512 VNNI + VL + BW: the tile path cannot run";
+    constexpr int n = 300;
+    constexpr int R = TileExecutor::kTilePathMinRows;
+    const PwlExp exp_unit;
+    const Reciprocal recip_unit;
+    Rng rng(17);
+    for (const int d : {16, 32, 64, 128}) {
+        auto random_i8 = [&](int lo, int hi) {
+            Matrix<std::int8_t> m(n, d);
+            for (auto& x : m.data())
+                x = static_cast<std::int8_t>(lo + static_cast<int>(rng.uniform_index(hi - lo + 1)));
+            return m;
+        };
+        const Matrix<std::int8_t> q = random_i8(-40, 40);
+        const Matrix<std::int8_t> k = random_i8(-40, 40);
+        Matrix<std::int8_t> v = random_i8(-128, 127);
+        for (int t = 0; t < d; ++t) {
+            v(3, t) = -128;
+            v(4, t) = 127;
+        }
+        const TileExecutor exec(exp_unit, recip_unit, q, k, v);
+        PartArena tiled, rows;
+        PartScratch tiled_scratch, rows_scratch;
+        for (const int active : {1, R, 32}) {
+            for (int trial = 0; trial < 40; ++trial) {
+                const TileTask tile = random_tile(rng, active, n);
+                ASSERT_EQ(exec.tile_path(tile), active >= R) << "d=" << d << " rows=" << active;
+                ActivityStats a, b;
+                tiled.reset();
+                rows.reset();
+                exec.run(tile, tiled, a, tiled_scratch);
+                exec.run_rows(tile, rows, b, rows_scratch);
+                ASSERT_TRUE(same_parts(tiled, rows))
+                    << "d=" << d << " rows=" << active << " trial " << trial;
+                EXPECT_EQ(a.mac_ops, b.mac_ops);
+                EXPECT_EQ(a.exp_ops, b.exp_ops);
+                EXPECT_EQ(a.valid_slots, b.valid_slots);
+                EXPECT_EQ(a.array_slots, b.array_slots);
+                EXPECT_EQ(a.pe_cycles, b.pe_cycles);
+            }
+        }
+        // A valid slot whose key lies outside [0, n) trips the same contract
+        // check on both paths.
+        TileTask bad = random_tile(rng, 32, n);
+        bad.segments.resize(1);
+        bad.segments[0].col_begin = 0;
+        bad.segments[0].col_end = bad.cols();
+        bad.segments[0].dilation = 1;
+        bad.segments[0].key_base = n - 1;
+        bad.valid[1] = 1;  // row 0, column 1: key n
+        bad.global_row_query = -1;
+        bad.global_col_key = -1;
+        tiled.reset();
+        ActivityStats ignored;
+        EXPECT_THROW(exec.run(bad, tiled, ignored, tiled_scratch), ContractViolation);
+        EXPECT_THROW(exec.run_rows(bad, tiled, ignored, rows_scratch), ContractViolation);
     }
 }
 
@@ -358,18 +544,14 @@ TEST(Kernels, QuantizeInputFxRoutesThroughTheKernel) {
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
     ThreadPool pool(4);
     EXPECT_EQ(pool.lanes(), 4);
-    for (int chunk : {1, 7}) {
-        std::vector<std::atomic<int>> hits(257);
-        for (auto& h : hits) h.store(0);
-        pool.parallel_for(
-            257, [&](int i, int lane) {
-                ASSERT_GE(lane, 0);
-                ASSERT_LT(lane, 4);
-                hits[static_cast<std::size_t>(i)].fetch_add(1);
-            },
-            chunk);
-        for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    }
+    std::vector<std::atomic<int>> hits(257);
+    for (auto& h : hits) h.store(0);
+    pool.parallel_for(257, [&](int i, int lane) {
+        ASSERT_GE(lane, 0);
+        ASSERT_LT(lane, 4);
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, SingleLanePoolRunsInline) {
