@@ -120,10 +120,6 @@ CompiledPlanPtr SaloEngine::compile(const HybridPattern& pattern, int head_dim) 
 
 PlanCacheStats SaloEngine::plan_cache_stats() const { return plan_cache_.stats(); }
 
-SchedulePlan SaloEngine::plan(const HybridPattern& pattern, int head_dim) const {
-    return schedule(pattern, config_.geometry, head_dim, config_.schedule_options);
-}
-
 SaloEngine::RunControl SaloEngine::run_control(const RunOptions& options) const {
     RunControl ctl;
     ctl.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
@@ -186,31 +182,17 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
 
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            std::vector<TilePart> parts;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                parts.clear();
-                exec.run(tile, parts, result.stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        } else {
-            PartArena arena;
-            PartScratch scratch;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
+        PartArena arena;
+        PartScratch scratch;
+        for (int t = 0; t < num_tiles; ++t) {
+            if (ctl != nullptr) ctl->check(t);
+            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
+            arena.reset();
+            exec.run(tile, arena, result.stats.activity, scratch);
+            for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
+            const CycleBreakdown& b = accountant.account(tile, result.stats);
+            result.stats.activity.pe_cycles +=
+                static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
         }
     } else {
         const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,

@@ -181,10 +181,6 @@ public:
     LayerResult run(const HybridPattern& pattern, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v, float scale) const;
 
-    /// The schedule this engine would use for `pattern` with head dim `d`
-    /// (uncached direct scheduler invocation; prefer compile()).
-    SchedulePlan plan(const HybridPattern& pattern, int head_dim) const;
-
     /// Float oracle for the same computation (no quantization, no hardware).
     static Matrix<float> golden(const HybridPattern& pattern, const Matrix<float>& q,
                                 const Matrix<float>& k, const Matrix<float>& v, float scale);

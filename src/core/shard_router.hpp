@@ -55,9 +55,10 @@
 //   completed + failed + rejected + timed_out + cancelled == submitted
 // holds for the tier; `retried` and `failed_over` count attempts (one
 // request retried twice contributes 2), outside the law by construction.
-// The seeded chaos harness (`bench_serving --shards N --chaos --seed S`)
-// enforces all of this plus bounded p99 in its exit code; the breaker state
-// machine and methodology are documented in docs/RELIABILITY.md.
+// The seeded chaos soak (`soak chaos --seed S`, tests/soak/soak.cpp; ctest
+// `chaos_soak`) enforces all of this plus bounded p99 in its exit code; the
+// breaker state machine and methodology are documented in
+// docs/RELIABILITY.md.
 #pragma once
 
 #include <array>

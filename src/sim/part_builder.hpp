@@ -20,8 +20,8 @@ namespace salo {
 /// Build the normalized output part for `query` given its raw scores and
 /// the key ids they belong to. Updates exp/MAC activity counters.
 /// Reference implementation: allocates the part and accumulates stage 5 in
-/// int64, exactly as the original datapath model did. Kept as the baseline
-/// for bench_throughput and for bit-identity tests against the fast path.
+/// int64, exactly as the original datapath model did. The cycle-accurate
+/// array calls it, and the bit-identity tests hold the fast path to it.
 TilePart build_part(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                     const Matrix<std::int8_t>& v, int query,
                     const std::vector<ScoreRaw>& scores, const std::vector<int>& key_ids,

@@ -304,8 +304,8 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
 }
 
 // ---------------------------------------------------------------------------
-// Reference path: the original scalar implementation, kept for baseline
-// benchmarking and bit-identity tests.
+// Reference path: the original scalar implementation, kept as the oracle of
+// the bit-identity tests.
 // ---------------------------------------------------------------------------
 void TileExecutor::run(const TileTask& tile, std::vector<TilePart>& parts,
                        ActivityStats& activity) const {

@@ -27,8 +27,7 @@
 // worker lane owns its arena and scratch.
 //
 // run(tile, parts, activity) is the original scalar implementation,
-// preserved verbatim as the reference baseline for bench_throughput and for
-// the bit-identity tests.
+// preserved verbatim as the oracle the bit-identity tests hold run() to.
 #pragma once
 
 #include <cstdint>

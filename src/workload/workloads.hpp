@@ -55,7 +55,7 @@ QkvSet make_qkv(const AttentionWorkload& workload, std::uint64_t seed,
                 double stddev = 0.5);
 
 /// Compile a workload's pattern for its head dimension under `config` —
-/// the shareable artifact the serving API (SaloSession / bench_serving)
+/// the shareable artifact the serving API (SaloSession, ShardedSession)
 /// submits requests against.
 CompiledPlanPtr compile_workload(const AttentionWorkload& workload,
                                  const SaloConfig& config);

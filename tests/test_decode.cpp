@@ -320,13 +320,6 @@ TEST(RunStep, MultiBandBitIdentity) {
                                  16, 24, Fidelity::kFunctional, 41u);
 }
 
-TEST(RunStep, ReferenceDatapathBitIdentity) {
-    SaloConfig config;
-    config.reference_datapath = true;
-    expect_stepwise_bit_identity(config, {Band{-7, 8, 1, 0}}, {0, 1}, 2, 16, 16,
-                                 Fidelity::kFunctional, 53u);
-}
-
 TEST(RunStep, CycleAccurateBitIdentity) {
     // Small case: the cycle-accurate array is slow but must agree too.
     const SaloConfig config;
@@ -403,10 +396,6 @@ TEST(RunStep, QuantizedStateBitIdenticalToFloatState) {
                                         83u);
     expect_quantized_step_matches_float(config, {Band{-3, 4, 1, 0}, Band{-9, 3, 3, 0}},
                                         {0}, 2, 16, 24, 89u);
-    config.reference_datapath = true;
-    expect_quantized_step_matches_float(config, {Band{-7, 8, 1, 0}}, {0, 1}, 2, 16, 16,
-                                        97u);
-    config.reference_datapath = false;
     config.fidelity = Fidelity::kCycleAccurate;
     expect_quantized_step_matches_float(config, {Band{-3, 4, 1, 0}}, {0}, 1, 8, 8, 101u);
 }

@@ -98,9 +98,8 @@ TEST(Integration, RegressionPinnedSynthesis) {
 TEST(Integration, SchedulePlanIsDeterministic) {
     const auto w = longformer_small(128, 16, 1, 16, 2);
     const SaloConfig config = small_config();
-    const SaloEngine engine(config);
-    const auto p1 = engine.plan(w.pattern, w.head_dim);
-    const auto p2 = engine.plan(w.pattern, w.head_dim);
+    const auto p1 = schedule(w.pattern, config.geometry, w.head_dim, config.schedule_options);
+    const auto p2 = schedule(w.pattern, config.geometry, w.head_dim, config.schedule_options);
     ASSERT_EQ(p1.tiles.size(), p2.tiles.size());
     for (std::size_t t = 0; t < p1.tiles.size(); ++t) {
         EXPECT_EQ(p1.tiles[t].query_ids, p2.tiles[t].query_ids);

@@ -26,7 +26,7 @@ TEST(SaloModel, MatchesEngineFunctionalCycles) {
     const SaloEngine engine(config);
     const auto qkv = make_qkv(workload, 3);
     const auto run = engine.run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
+    const auto plan = engine.compile(workload.pattern, workload.head_dim)->plan();
     const SimStats estimate = estimate_head_stats(plan, config);
     EXPECT_EQ(estimate.cycles, run.stats.cycles);
     EXPECT_EQ(estimate.tiles, run.stats.tiles);
@@ -42,7 +42,7 @@ TEST(SaloModel, PipeliningMatchesEngineAndReducesCycles) {
     const SaloEngine engine(config);
     const auto qkv = make_qkv(workload, 4);
     const auto run = engine.run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
+    const auto plan = engine.compile(workload.pattern, workload.head_dim)->plan();
     EXPECT_EQ(estimate_head_stats(plan, config).cycles, run.stats.cycles);
 
     SaloConfig off = small_config();

@@ -1,5 +1,5 @@
 // Parallel execution: determinism across thread counts (one head per lane),
-// the reference-vs-optimized datapath bit-identity, the dispatched kernels,
+// the reference-vs-production datapath bit-identity, the dispatched kernels,
 // and the thread pool itself.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "attention/streaming.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
@@ -106,12 +107,69 @@ TEST(ParallelEngine, SingleHeadRunAtEightLanesMatchesOneLane) {
 }
 
 // -------------------------------------------------------------------------
-// Reference (seed) datapath vs optimized kernels: bit-identical end to end,
-// over every segment layout the scheduler emits (single, dilated,
-// column-packed multi-segment), a non-square array and d = 16, 64, 128. On
-// an AVX-512 VNNI host the optimized datapath runs these tiles on the tile
-// path.
+// Reference (seed) datapath vs the production one, tile by tile: the
+// vector run(tile, parts, ...) against run(tile, arena, ..., scratch) on
+// every tile of each plan. The plans cover every segment layout the
+// scheduler emits (single, dilated, column-packed multi-segment), a
+// non-square array, d = 16, 64, 128 and decode micro-plans (one query row
+// against the compact K/V layout). On an AVX-512 VNNI host the production
+// datapath runs the multi-row tiles on the tile path.
 // -------------------------------------------------------------------------
+
+template <typename At>
+::testing::AssertionResult same_parts(std::size_t count, At at, const PartArena& b) {
+    if (count != b.used())
+        return ::testing::AssertionFailure() << count << " vs " << b.used() << " parts";
+    for (std::size_t i = 0; i < count; ++i) {
+        const TilePart& x = at(i);
+        const TilePart& y = b.at(i);
+        if (x.query != y.query || x.weight != y.weight || x.out_q != y.out_q)
+            return ::testing::AssertionFailure()
+                   << "part " << i << ": query " << x.query << "/" << y.query << ", weight "
+                   << x.weight << "/" << y.weight;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_parts(const PartArena& a, const PartArena& b) {
+    return same_parts(a.used(), [&](std::size_t i) -> const TilePart& { return a.at(i); }, b);
+}
+
+::testing::AssertionResult same_parts(const std::vector<TilePart>& a, const PartArena& b) {
+    return same_parts(a.size(), [&](std::size_t i) -> const TilePart& { return a[i]; }, b);
+}
+
+void expect_same_activity(const ActivityStats& a, const ActivityStats& b,
+                          const std::string& what) {
+    EXPECT_EQ(a.mac_ops, b.mac_ops) << what;
+    EXPECT_EQ(a.exp_ops, b.exp_ops) << what;
+    EXPECT_EQ(a.valid_slots, b.valid_slots) << what;
+    EXPECT_EQ(a.array_slots, b.array_slots) << what;
+    EXPECT_EQ(a.pe_cycles, b.pe_cycles) << what;
+}
+
+void expect_reference_matches_production(const SchedulePlan& plan,
+                                         const Matrix<std::int8_t>& q,
+                                         const Matrix<std::int8_t>& k,
+                                         const Matrix<std::int8_t>& v,
+                                         const std::string& what) {
+    const PwlExp exp_unit;
+    const Reciprocal recip_unit;
+    const TileExecutor exec(exp_unit, recip_unit, q, k, v);
+    std::vector<TilePart> parts;
+    PartArena arena;
+    PartScratch scratch;
+    for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+        ActivityStats a, b;
+        parts.clear();
+        arena.reset();
+        exec.run(plan.tiles[t], parts, a);
+        exec.run(plan.tiles[t], arena, b, scratch);
+        const std::string tile = what + ", tile " + std::to_string(t);
+        ASSERT_TRUE(same_parts(parts, arena)) << tile;
+        expect_same_activity(a, b, tile);
+    }
+}
 
 struct DatapathShape {
     const char* name;
@@ -133,21 +191,40 @@ TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
     for (const DatapathShape& shape : shapes) {
         const AttentionWorkload workload{shape.name, shape.pattern, 2, shape.head_dim, 0, 0.0};
         const auto qkv = make_qkv(workload, 3);
-        auto config = [&](int threads) {
-            SaloConfig c = config_with_threads(threads);
-            c.geometry.rows = shape.rows;
-            c.geometry.cols = shape.cols;
-            return c;
-        };
-        SaloConfig ref_cfg = config(1);
-        ref_cfg.reference_datapath = true;
-        const auto ref = SaloEngine(ref_cfg).run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                                 workload.scale());
-        for (int threads : {1, 8}) {
-            const auto opt = SaloEngine(config(threads))
-                                 .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                      workload.scale());
-            expect_identical(ref, opt, shape.name);
+        ArrayGeometry geometry;
+        geometry.rows = shape.rows;
+        geometry.cols = shape.cols;
+        const SchedulePlan plan =
+            schedule(shape.pattern, geometry, shape.head_dim, ScheduleOptions{});
+        for (int h = 0; h < workload.heads; ++h)
+            expect_reference_matches_production(
+                plan, quantize_input(qkv.q[h], workload.scale()), quantize<InputFx>(qkv.k[h]),
+                quantize<InputFx>(qkv.v[h]), std::string(shape.name) + ", head " +
+                                                  std::to_string(h));
+    }
+
+    // Decode: each step's micro-plan runs one query row against the compact
+    // [pinned globals][window] K/V of a stream that has evicted a global.
+    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
+    const int heads = 2, d = 16;
+    const SaloEngine engine{SaloConfig{}};
+    QuantizedDecodeState state(heads, d, decode_window_span(bands), {0, 1});
+    Rng rng(53);
+    for (int t = 0; t < 16; ++t) {
+        const Matrix<float> q_row = random_matrix(heads, d, rng);
+        const Matrix<float> k_row = random_matrix(heads, d, rng);
+        const Matrix<float> v_row = random_matrix(heads, d, rng);
+        state.append(k_row, v_row);
+        const std::vector<int> globals = t == 0 ? std::vector<int>{0} : std::vector<int>{0, 1};
+        const CompiledPlanPtr micro =
+            engine.compile_step(HybridPattern(t + 1, bands, globals), d);
+        const auto [k, v] = state.assemble();
+        for (int h = 0; h < heads; ++h) {
+            Matrix<float> q(1, d);
+            std::copy(q_row.row(h).begin(), q_row.row(h).end(), q.data().begin());
+            expect_reference_matches_production(
+                micro->plan(), quantize_input(q, 0.25f), k[h], v[h],
+                "decode step " + std::to_string(t) + ", head " + std::to_string(h));
         }
     }
 }
@@ -279,20 +356,6 @@ TileTask random_tile(Rng& rng, int active, int n) {
     return tile;
 }
 
-::testing::AssertionResult same_parts(const PartArena& a, const PartArena& b) {
-    if (a.used() != b.used())
-        return ::testing::AssertionFailure() << a.used() << " vs " << b.used() << " parts";
-    for (std::size_t i = 0; i < a.used(); ++i) {
-        const TilePart& x = a.at(i);
-        const TilePart& y = b.at(i);
-        if (x.query != y.query || x.weight != y.weight || x.out_q != y.out_q)
-            return ::testing::AssertionFailure()
-                   << "part " << i << ": query " << x.query << "/" << y.query << ", weight "
-                   << x.weight << "/" << y.weight;
-    }
-    return ::testing::AssertionSuccess();
-}
-
 TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
     if (kernels::tile_kernels.score_band == nullptr)
         GTEST_SKIP() << "host lacks AVX-512 VNNI + VL + BW: the tile path cannot run";
@@ -327,13 +390,11 @@ TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
                 rows.reset();
                 exec.run(tile, tiled, a, tiled_scratch);
                 exec.run_rows(tile, rows, b, rows_scratch);
-                ASSERT_TRUE(same_parts(tiled, rows))
-                    << "d=" << d << " rows=" << active << " trial " << trial;
-                EXPECT_EQ(a.mac_ops, b.mac_ops);
-                EXPECT_EQ(a.exp_ops, b.exp_ops);
-                EXPECT_EQ(a.valid_slots, b.valid_slots);
-                EXPECT_EQ(a.array_slots, b.array_slots);
-                EXPECT_EQ(a.pe_cycles, b.pe_cycles);
+                const std::string what = "d=" + std::to_string(d) +
+                                         " rows=" + std::to_string(active) + " trial " +
+                                         std::to_string(trial);
+                ASSERT_TRUE(same_parts(tiled, rows)) << what;
+                expect_same_activity(a, b, what);
             }
         }
         // A valid slot whose key lies outside [0, n) trips the same contract

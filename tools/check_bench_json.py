@@ -3,9 +3,7 @@
 
 Every BENCH_*.json must (a) parse as JSON and (b) carry an integer
 schema_version, so downstream tooling (and CI trend jobs) can rely on the
-files without per-bench special cases. BENCH_decode.json additionally
-must report tokens/s at all of 1/64/4096 concurrent streams with every
-level bit-identical (the decode-tier contract). Run from anywhere:
+files without per-bench special cases. Run from anywhere:
 
     python3 tools/check_bench_json.py [repo_root]
 
@@ -32,34 +30,6 @@ def check(path: str) -> list:
         problems.append(f"schema_version missing or not an integer: {version!r}")
     if not doc.get("bench"):
         problems.append("missing 'bench' name")
-    if doc.get("bench") == "decode":
-        problems.extend(check_decode(doc))
-    return problems
-
-
-def check_decode(doc: dict) -> list:
-    """The decode snapshot's contract: the full 1/64/4096-stream sweep,
-    positive tokens/s at every level, and bit-identity everywhere."""
-    problems = []
-    levels = doc.get("levels")
-    if not isinstance(levels, list):
-        return ["'levels' missing or not a list"]
-    by_streams = {}
-    for entry in levels:
-        if isinstance(entry, dict):
-            by_streams[entry.get("streams")] = entry
-    for want in (1, 64, 4096):
-        entry = by_streams.get(want)
-        if entry is None:
-            problems.append(f"missing level for {want} streams")
-            continue
-        tps = entry.get("tokens_per_s")
-        if not isinstance(tps, (int, float)) or isinstance(tps, bool) or tps <= 0:
-            problems.append(f"{want} streams: tokens_per_s not positive: {tps!r}")
-        if entry.get("bit_identical") is not True:
-            problems.append(f"{want} streams: bit_identical is not true")
-    if doc.get("bit_identical") is not True:
-        problems.append("top-level bit_identical is not true")
     return problems
 
 
