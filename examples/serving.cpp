@@ -54,7 +54,8 @@ int main() {
         const LayerResult served = futures[static_cast<std::size_t>(i)].get();
         const AttentionWorkload& w = *kinds[static_cast<std::size_t>(i)];
         const QkvSet qkv = make_qkv(w, /*seed=*/100 + i);
-        const LayerResult sync = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+        const LayerResult sync =
+            engine.run(*engine.compile(w.pattern, w.head_dim), qkv.q, qkv.k, qkv.v, w.scale());
         for (int h = 0; h < served.output.count(); ++h)
             worst = std::max(worst, max_abs_diff(served.output[h], sync.output[h]));
     }

@@ -8,14 +8,14 @@
 //
 // API lifecycle (see docs/API.md):
 //
-//   compile(pattern, head_dim, config) -> CompiledPlan   // once per shape
-//   engine.run(plan, q, k, v, scale)   -> LayerResult    // many times
+//   compile(pattern, head_dim, config)          -> CompiledPlan  // once per shape
+//   engine.run(plan, q, k, v, scale[, options]) -> LayerResult   // many times
+//   engine.run_step(micro, q_row, k, v, scale)  -> StepResult    // one decode step
 //
-// The engine also keeps an internal PlanCache, so the legacy one-shot
-// run_head(pattern, ...)/run(pattern, ...) calls — now thin shims over the
-// compiled-plan API — no longer re-run the scheduler on every invocation.
-// For request-level serving (many in-flight layers sharing the engines)
-// use SaloSession / ShardedSession (core/session.hpp, core/shard_router.hpp).
+// compile() goes through the engine's internal PlanCache, so repeated shapes
+// never re-run the scheduler. For request-level serving (many in-flight
+// layers sharing the engines) use ShardedSession / DecodeSession
+// (core/shard_router.hpp, core/decode_session.hpp).
 //
 // Fidelity levels:
 //   kGolden        — float masked attention, no hardware at all (oracle);
@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 
+#include "common/assert.hpp"
 #include "common/fault_injector.hpp"
 #include "common/thread_pool.hpp"
 #include "core/cancellation.hpp"
@@ -70,16 +71,23 @@ struct StepResult {
     int position = 0;       ///< query row in the full sequence
 };
 
-/// Per-run robustness controls (all optional; the zero-value runs exactly
-/// like the plain overloads). Checked at tile boundaries, so an in-flight
+/// Per-run execution controls (all optional; the zero value runs at the
+/// configured fidelity on the configured lanes with no robustness hooks).
+/// The hooks are checked at tile boundaries, so an in-flight
 /// run stops early on cancellation or deadline expiry by throwing the
 /// typed error — results that do complete are untouched and keep the
 /// bit-identity guarantee.
 struct RunOptions {
     /// Execution fidelity; defaults to the engine's configured fidelity.
     std::optional<Fidelity> fidelity;
-    /// See run(plan, q, k, v, scale, fidelity, thread_budget): <= 0 means
-    /// the configured thread count, 1 keeps every head on the caller.
+    /// Lanes for a multi-head layer. 1 runs the heads one after another on
+    /// the caller with no pool involvement, so many such calls can run
+    /// concurrently. <= 0 (the configured thread count) or > 1 runs one head
+    /// per pool task; values > 1 are NOT a lane bound: the region always
+    /// runs on the engine's full pool, and concurrent regions serialize on
+    /// it. Callers running requests concurrently should pass 1 per request
+    /// (as the serving tiers do) and parallelize across calls. Results are
+    /// bit-identical for every value.
     int thread_budget = 0;
     /// Checked at every tile boundary; fires RequestCancelled.
     CancellationToken cancel;
@@ -107,37 +115,38 @@ public:
     /// Run one attention head on a compiled plan. `scale` (typically
     /// 1/sqrt(d)) is folded into Q before quantization, as the hardware
     /// driver would do. The plan must have been compiled for this engine's
-    /// geometry and schedule options.
+    /// geometry and schedule options. Runs at the configured fidelity with
+    /// the engine-level fault injector, like run() with default options.
     HeadResult run_head(const CompiledPlan& plan, const Matrix<float>& q,
                         const Matrix<float>& k, const Matrix<float>& v,
                         float scale) const;
 
     /// Run a multi-head attention layer on a compiled plan; the schedule is
-    /// shared across heads.
-    LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
-                    const Tensor3<float>& k, const Tensor3<float>& v,
-                    float scale) const;
-
-    /// Advanced overload (request serving): per-call fidelity and
-    /// execution shape. `thread_budget` 1 runs the heads one after another
-    /// on the caller with no pool involvement, so many such calls can run
-    /// concurrently. <= 0 (the configured thread count) or > 1 runs the
-    /// heads of a multi-head layer one per pool task; values > 1 are NOT a
-    /// lane bound: the region always runs on the engine's full pool, and
-    /// concurrent regions serialize on that pool — callers running requests
-    /// concurrently should pass 1 per request (as the serving tiers do) and
-    /// parallelize across calls. Results are bit-identical for every value.
+    /// shared across heads. `options` selects the fidelity and thread budget
+    /// and carries the robustness hooks (cancellation, deadline, fault
+    /// injection) checked at tile boundaries: RequestCancelled /
+    /// DeadlineExceeded / EngineFault are thrown from the calling thread
+    /// when a hook fires mid-run.
     LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v, float scale,
-                    Fidelity fidelity, int thread_budget) const;
+                    const RunOptions& options = {}) const;
 
-    /// Full-control overload: fidelity/thread budget plus the robustness
-    /// hooks (cancellation, deadline, fault injection) checked at tile
-    /// boundaries. Throws RequestCancelled / DeadlineExceeded / EngineFault
-    /// from the calling thread when a hook fires mid-run.
+    /// Shim: perfbench only, removed by ROADMAP item 9.
     LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v, float scale,
-                    const RunOptions& options) const;
+                    Fidelity fidelity, int thread_budget) const {
+        RunOptions options;
+        options.fidelity = fidelity;
+        options.thread_budget = thread_budget;
+        return run(plan, q, k, v, scale, options);
+    }
+
+    /// Shim: perfbench only, removed by ROADMAP item 9.
+    LayerResult run(const HybridPattern& pattern, const Tensor3<float>& q,
+                    const Tensor3<float>& k, const Tensor3<float>& v, float scale) const {
+        SALO_EXPECTS(q.count() >= 1);
+        return run(*compile(pattern, q.cols()), q, k, v, scale);
+    }
 
     // --- Incremental decode API --------------------------------------------
 
@@ -168,18 +177,8 @@ public:
                         const RunOptions& options = {}) const;
 
     /// Cumulative statistics of the internal PlanCache serving compile()
-    /// and the legacy shims.
+    /// and compile_step().
     PlanCacheStats plan_cache_stats() const;
-
-    // --- Legacy one-shot API (shims over compile + run) --------------------
-
-    /// Equivalent to run_head(*compile(pattern, q.cols()), ...).
-    HeadResult run_head(const HybridPattern& pattern, const Matrix<float>& q,
-                        const Matrix<float>& k, const Matrix<float>& v, float scale) const;
-
-    /// Equivalent to run(*compile(pattern, q.cols()), ...).
-    LayerResult run(const HybridPattern& pattern, const Tensor3<float>& q,
-                    const Tensor3<float>& k, const Tensor3<float>& v, float scale) const;
 
     /// Float oracle for the same computation (no quantization, no hardware).
     static Matrix<float> golden(const HybridPattern& pattern, const Matrix<float>& q,
@@ -225,18 +224,15 @@ private:
     /// injector as the fallback.
     RunControl run_control(const RunOptions& options) const;
 
-    /// One head on the sequential tile loop (or the golden oracle). `ctl`
+    /// One head of `plan`: the golden oracle, or quantize at the accelerator
+    /// boundary and run the sequential tile loop. q is the plan's query rows
+    /// (all n for a layer, the one step row for a micro-plan); float K/V are
+    /// quantized here, int8 K/V already hold the InputFx raw values. `ctl`
     /// may be null (no robustness hooks active).
-    HeadResult run_head_impl(const SchedulePlan& plan, const HybridPattern& pattern,
-                             const Matrix<float>& q, const Matrix<float>& k,
-                             const Matrix<float>& v, float scale, Fidelity fidelity,
-                             const RunControl* ctl = nullptr) const;
-
-    HeadResult run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
-                                   const Matrix<std::int8_t>& qq,
-                                   const Matrix<std::int8_t>& kq,
-                                   const Matrix<std::int8_t>& vq,
-                                   const RunControl* ctl = nullptr) const;
+    template <typename T>
+    HeadResult run_one_head(const CompiledPlan& plan, const Matrix<float>& q,
+                            const Matrix<T>& k, const Matrix<T>& v, float scale,
+                            Fidelity fidelity, const RunControl* ctl) const;
 
     /// Runs `run_one(h) -> HeadResult` for every head — one whole head per
     /// pool task when `thread_budget` allows more than one lane and there
@@ -245,15 +241,6 @@ private:
     template <typename RunHead>
     SimStats run_heads(int heads, int thread_budget, Tensor3<float>& out,
                        RunHead&& run_one) const;
-
-    /// One head of one decode step: the golden row, or the sequential tile
-    /// loop over a one-row Q (micro-plans are a handful of tiles, so there
-    /// is nothing to fork over inside a head).
-    template <typename T>
-    HeadResult run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                             int head, const Matrix<T>& k, const Matrix<T>& v,
-                             float scale, Fidelity fidelity,
-                             const RunControl* ctl) const;
 
     /// The persistent worker pool (built on first use, sized num_threads).
     ThreadPool& pool() const;

@@ -13,9 +13,12 @@
 //   stage 5 — weight-stationary S'*V: output element t leaves the row at
 //             cycle t + cols_used - 1; weighted-sum pipeline tail.
 //
-// Numeric results are bit-identical to the functional TileExecutor (they
-// share the integer kernels); what this model adds is *measured* cycle
-// counts and PE-activity traces that validate the closed-form formulas in
+// Numeric results and activity counters are bit-identical to the functional
+// TileExecutor, but the array shares none of its kernels: every stage runs
+// on the scalar numeric units (PwlExp::exp_raw, Reciprocal::inv_raw,
+// normalize_prob, round_shift), so it is the one bit-level oracle the
+// production datapath is tested against. It also *measures* cycle counts
+// and PE activity, which validate the closed-form formulas in
 // cycle_formulas.hpp and feed the utilization comparison of paper §6.3.
 #pragma once
 

@@ -1,9 +1,9 @@
-// Shared construction of a normalized TilePart from raw scores — the
-// stage 2-5 datapath applied to one PE row (or to the global PE row/column).
-// Both the functional TileExecutor and the cycle-accurate array model call
-// this, so their outputs agree bit-for-bit by construction on the shared
-// stages; the cycle-accurate model re-derives stages 1/3/5 per cycle and is
-// cross-checked against this path by tests.
+// Construction of a normalized TilePart from raw scores on the functional
+// fast path — the stage 2-5 datapath applied to one PE row (or to the global
+// PE row/column) — and the per-lane scratch TileExecutor reuses across
+// tiles. The cycle-accurate array (cycle_accurate.cpp) derives the same
+// stages from the scalar numeric units; the oracle test holds this path to
+// it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -16,16 +16,6 @@
 #include "tensor/matrix.hpp"
 
 namespace salo {
-
-/// Build the normalized output part for `query` given its raw scores and
-/// the key ids they belong to. Updates exp/MAC activity counters.
-/// Reference implementation: allocates the part and accumulates stage 5 in
-/// int64, exactly as the original datapath model did. The cycle-accurate
-/// array calls it, and the bit-identity tests hold the fast path to it.
-TilePart build_part(const PwlExp& exp_unit, const Reciprocal& recip_unit,
-                    const Matrix<std::int8_t>& v, int query,
-                    const std::vector<ScoreRaw>& scores, const std::vector<int>& key_ids,
-                    ActivityStats& activity);
 
 /// One tile segment's staged state on the tile path (TileExecutor): byte
 /// offsets of its staged K and V streams in PartScratch::staged, the int32
@@ -67,12 +57,12 @@ bool normalize_part(const PwlExp& exp_unit, const Reciprocal& recip_unit, int qu
 /// Q.19 accumulator in part.out_q to Q.wsm_frac in place.
 void finish_part(int count, ActivityStats& activity, TilePart& part);
 
-/// Fast path: same computation as build_part, written into an arena-owned
-/// part (normalize_part, then stage 5 by wacc_sp_i8, then finish_part).
-/// Stage 5 accumulates sp * v directly into part.out_q in int32 — exact,
-/// because the Q.15 probabilities of a row sum to ~1.0 (bounded by 1 + the
-/// reciprocal unit's relative error), keeping |acc| < 2^23.
-/// Bit-identical to build_part for every input (tested).
+/// Build the normalized output part for `query` from its raw scores and the
+/// key ids they belong to, into an arena-owned part (normalize_part, then
+/// stage 5 by wacc_sp_i8, then finish_part). Stage 5 accumulates sp * v
+/// directly into part.out_q in int32 — exact, because the Q.15
+/// probabilities of a row sum to ~1.0 (bounded by 1 + the reciprocal unit's
+/// relative error), keeping |acc| < 2^23.
 void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                      const Matrix<std::int8_t>& v, int query, const ScoreRaw* scores,
                      const int* key_ids, int count, ActivityStats& activity,

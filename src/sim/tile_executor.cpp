@@ -67,15 +67,6 @@ TileExecutor::TileExecutor(const PwlExp& exp_unit, const Reciprocal& recip_unit,
     }
 }
 
-ScoreRaw TileExecutor::score(int qi, int ki) const {
-    const auto qrow = q_->row(qi);
-    const auto krow = k_->row(ki);
-    std::int32_t acc = 0;  // Q.(2*in_frac) = Q.8 = Q.acc_frac
-    for (std::size_t t = 0; t < qrow.size(); ++t)
-        acc += static_cast<std::int32_t>(qrow[t]) * static_cast<std::int32_t>(krow[t]);
-    return acc;
-}
-
 bool TileExecutor::tile_path(const TileTask& tile) const {
     if (qsum_.empty() || tile.segments.empty()) return false;
     for (const TileSegment& seg : tile.segments)
@@ -296,84 +287,6 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
                                  kbase, keys, count, d, scores);
             activity.mac_ops += static_cast<std::int64_t>(count) * d;
             emit(g, count);
-        }
-    }
-
-    activity.valid_slots += tile.num_valid_slots();
-    activity.array_slots += static_cast<std::int64_t>(rows) * cols;
-}
-
-// ---------------------------------------------------------------------------
-// Reference path: the original scalar implementation, kept as the oracle of
-// the bit-identity tests.
-// ---------------------------------------------------------------------------
-void TileExecutor::run(const TileTask& tile, std::vector<TilePart>& parts,
-                       ActivityStats& activity) const {
-    const int rows = tile.rows();
-    const int cols = tile.cols();
-    const int nn = k_->rows();
-
-    std::vector<ScoreRaw> scores;
-    std::vector<int> keys;
-
-    // PE-array rows: the window part of the pattern.
-    for (int r = 0; r < rows; ++r) {
-        const int qi = tile.query_ids[static_cast<std::size_t>(r)];
-        scores.clear();
-        keys.clear();
-        if (qi >= 0) {
-            for (int c = 0; c < cols; ++c) {
-                if (!tile.is_valid(r, c)) continue;
-                const std::int64_t key = tile.key_at(r, c);
-                SALO_ASSERT(key >= 0 && key < nn);
-                const int ki = static_cast<int>(key);
-                scores.push_back(score(qi, ki));
-                keys.push_back(ki);
-            }
-            activity.mac_ops += static_cast<std::int64_t>(scores.size()) * head_dim();
-        }
-        if (!scores.empty()) {
-            TilePart part = build_part(*exp_unit_, *recip_unit_, *v_, qi, scores, keys,
-                                       activity);
-            if (part.weight > 0) parts.push_back(std::move(part));
-        }
-
-        // Global PE column: q_i against the global key (single-element part:
-        // its normalized output is v_g itself, with weight exp(q_i . k_g)).
-        if (tile.global_col_key >= 0 && !tile.global_col_rows.empty() &&
-            tile.global_col_rows[static_cast<std::size_t>(r)] != 0) {
-            SALO_ASSERT(qi >= 0);
-            const int g = tile.global_col_key;
-            scores.assign(1, score(qi, g));
-            keys.assign(1, g);
-            activity.mac_ops += head_dim();
-            TilePart part = build_part(*exp_unit_, *recip_unit_, *v_, qi, scores, keys,
-                                       activity);
-            if (part.weight > 0) parts.push_back(std::move(part));
-        }
-    }
-
-    // Global PE row: the global query against this tile's fresh keys.
-    if (tile.global_row_query >= 0) {
-        const int g = tile.global_row_query;
-        scores.clear();
-        keys.clear();
-        int slot = 0;
-        for (const TileSegment& seg : tile.segments) {
-            const int len = seg.stream_length(rows);
-            for (int s = 0; s < len; ++s, ++slot) {
-                if (tile.global_fresh[static_cast<std::size_t>(slot)] == 0) continue;
-                const std::int64_t key = seg.stream_key(s);
-                SALO_ASSERT(key >= 0 && key < nn);
-                scores.push_back(score(g, static_cast<int>(key)));
-                keys.push_back(static_cast<int>(key));
-            }
-        }
-        if (!scores.empty()) {
-            activity.mac_ops += static_cast<std::int64_t>(scores.size()) * head_dim();
-            TilePart part = build_part(*exp_unit_, *recip_unit_, *v_, g, scores, keys,
-                                       activity);
-            if (part.weight > 0) parts.push_back(std::move(part));
         }
     }
 

@@ -3,9 +3,10 @@
 // Runs the exact integer datapath of the PE array — stage-1 MAC
 // accumulation, PWL exponential, reciprocal broadcast, stage-4 normalize,
 // stage-5 weighted sum — plus the global PE row and global PE column, and
-// emits renormalizable TileParts. The cycle-accurate model produces
-// bit-identical values (it calls the same numeric kernels in a timed loop);
-// this class is the fast path used for full-layer runs.
+// emits renormalizable TileParts. This class is the fast path used for
+// full-layer runs; its bit-level oracle is CycleAccurateArray, which
+// re-derives every stage from the scalar numeric units in per-cycle loops
+// and must emit the same parts and activity counters (tested).
 //
 // run(tile, arena, activity, scratch) is the hot path. It executes a tile's
 // PE-array rows on one of two datapaths, chosen per tile from what the code
@@ -25,9 +26,6 @@
 // parts, in the same order, bit for bit (tested).
 // Thread-safe: concurrent calls on one executor are fine as long as each
 // worker lane owns its arena and scratch.
-//
-// run(tile, parts, activity) is the original scalar implementation,
-// preserved verbatim as the oracle the bit-identity tests hold run() to.
 #pragma once
 
 #include <cstdint>
@@ -67,15 +65,6 @@ public:
     /// Fewest active rows (query id >= 0) for which the tile path wins; see
     /// docs/PERFORMANCE.md, "Hot-path kernels", for the measured table.
     static constexpr int kTilePathMinRows = 4;
-
-    /// Reference path: identical results into a plain vector (the original
-    /// per-tile implementation; scalar, allocation-heavy).
-    void run(const TileTask& tile, std::vector<TilePart>& parts,
-             ActivityStats& activity) const;
-
-    /// Stage-1 dot product: sum_t q[qi][t]*k[ki][t], raw Q.acc_frac.
-    /// (Reference scalar form; the hot path uses kernels::dot_i8.)
-    ScoreRaw score(int qi, int ki) const;
 
     int head_dim() const { return q_->cols(); }
     int n() const { return q_->rows(); }

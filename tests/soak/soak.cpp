@@ -164,7 +164,8 @@ MixedStream make_stream(const SaloConfig& config) {
         const AttentionWorkload& w = s.shape(i);
         s.qkv.push_back(make_qkv(w, 7000 + i));
         s.expected.push_back(
-            sequential.run(w.pattern, s.qkv[i].q, s.qkv[i].k, s.qkv[i].v, w.scale()));
+            sequential.run(*sequential.compile(w.pattern, w.head_dim), s.qkv[i].q, s.qkv[i].k,
+                           s.qkv[i].v, w.scale()));
     }
     return s;
 }
@@ -314,7 +315,8 @@ TenantMix make_tenant_mix(const SaloConfig& config, std::uint64_t seed) {
         mix.ag_qkv.push_back(make_qkv(mix.ag_shape, seed + 200 + i));
     }
     auto run = [&](const AttentionWorkload& w, const QkvSet& x) {
-        return sequential.run(w.pattern, x.q, x.k, x.v, w.scale());
+        return sequential.run(*sequential.compile(w.pattern, w.head_dim), x.q, x.k, x.v,
+                              w.scale());
     };
     const auto t0 = Clock::now();
     for (const QkvSet& x : mix.wb_qkv) mix.wb_expected.push_back(run(mix.wb_shape, x));

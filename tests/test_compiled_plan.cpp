@@ -390,27 +390,29 @@ TEST(EngineCompile, RepeatedCompileIsACacheHit) {
     EXPECT_EQ(s.misses, 1u);
 }
 
-TEST(EngineCompile, LegacyShimsMatchCompiledPlanRuns) {
+TEST(EngineCompile, CachedPlanRunsMatchAFreshEnginesRun) {
     SaloConfig config;
     config.geometry.rows = 8;
     config.geometry.cols = 8;
     config.num_threads = 2;
     const SaloEngine engine(config);
+    const SaloEngine fresh(config);
     const AttentionWorkload w = longformer_small(96, 16, 2, 16, 1);
     const QkvSet qkv = make_qkv(w, 5);
 
-    const LayerResult via_pattern = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
-    const LayerResult via_plan = engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale());
+    (void)engine.compile(w.pattern, w.head_dim);
+    const CompiledPlanPtr cached = engine.compile(w.pattern, w.head_dim);
+    const LayerResult via_cache = engine.run(*cached, qkv.q, qkv.k, qkv.v, w.scale());
+    const LayerResult via_fresh =
+        fresh.run(*fresh.compile(w.pattern, w.head_dim), qkv.q, qkv.k, qkv.v, w.scale());
 
-    ASSERT_EQ(via_pattern.output.count(), via_plan.output.count());
-    for (int h = 0; h < via_pattern.output.count(); ++h)
-        EXPECT_DOUBLE_EQ(max_abs_diff(via_pattern.output[h], via_plan.output[h]), 0.0);
-    EXPECT_EQ(via_pattern.stats.cycles, via_plan.stats.cycles);
-    EXPECT_EQ(via_pattern.schedule.valid_slots, via_plan.schedule.valid_slots);
-    // The legacy call went through the same cache: one miss total.
+    ASSERT_EQ(via_cache.output.count(), via_fresh.output.count());
+    for (int h = 0; h < via_cache.output.count(); ++h)
+        EXPECT_DOUBLE_EQ(max_abs_diff(via_cache.output[h], via_fresh.output[h]), 0.0);
+    EXPECT_EQ(via_cache.stats.cycles, via_fresh.stats.cycles);
+    EXPECT_EQ(via_cache.schedule.valid_slots, via_fresh.schedule.valid_slots);
     EXPECT_EQ(engine.plan_cache_stats().misses, 1u);
-    EXPECT_GE(engine.plan_cache_stats().hits, 1u);
+    EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
 }
 
 TEST(EngineCompile, RunRejectsPlanFromDifferentGeometry) {

@@ -1,12 +1,19 @@
-// Cycle-accurate array model: bit-exact agreement with the functional
-// executor, and measured cycle counts matching the closed-form formulas.
+// Cycle-accurate array model: the bit-level oracle of the production
+// datapath, and measured cycle counts matching the closed-form formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "attention/streaming.hpp"
 #include "common/rng.hpp"
+#include "core/engine.hpp"
 #include "numeric/quantize.hpp"
 #include "scheduler/scheduler.hpp"
 #include "sim/cycle_accurate.hpp"
 #include "sim/tile_executor.hpp"
+#include "workload/workloads.hpp"
 
 namespace salo {
 namespace {
@@ -30,48 +37,139 @@ struct Fixture {
     }
 };
 
-void expect_bit_exact(const HybridPattern& pattern, int d, std::uint64_t seed) {
-    Fixture f(pattern, d, seed);
-    const TileExecutor exec(f.exp_unit, f.recip_unit, f.q, f.k, f.v);
-    const CycleAccurateArray array(f.geometry, CycleConfig{}, f.exp_unit, f.recip_unit,
-                                   f.q, f.k, f.v);
-    for (const TileTask& tile : f.plan.tiles) {
-        std::vector<TilePart> fast, slow;
-        ActivityStats a1, a2;
-        exec.run(tile, fast, a1);
-        array.run(tile, slow, a2);
-        ASSERT_EQ(fast.size(), slow.size());
-        for (std::size_t i = 0; i < fast.size(); ++i) {
-            EXPECT_EQ(fast[i].query, slow[i].query);
-            EXPECT_EQ(fast[i].weight, slow[i].weight) << "part " << i;
-            EXPECT_EQ(fast[i].out_q, slow[i].out_q) << "part " << i;
-        }
-        // Identical useful-work counters (pe_cycles only exists in the
-        // cycle-accurate path).
-        EXPECT_EQ(a1.mac_ops, a2.mac_ops);
-        EXPECT_EQ(a1.exp_ops, a2.exp_ops);
-        EXPECT_EQ(a1.valid_slots, a2.valid_slots);
+// -------------------------------------------------------------------------
+// The bit-level oracle. The production datapath (TileExecutor::run, on the
+// tile path or the row path as the host selects) must emit the parts the
+// cycle-accurate array emits — query, weight and out_q, in order — with
+// the same activity counters, on every tile of each plan. pe_cycles is
+// accounted on the production side as the engine does. The plans cover
+// every segment layout the scheduler emits (single, dilated, column-packed
+// multi-segment), many globals, square and non-square arrays, d = 8, 16,
+// 64 and 128, a layer whose every exponential underflows, and decode
+// micro-plans (one query row against the compact int8 K/V layout). On an
+// AVX-512 VNNI host the multi-row tiles run on the tile path.
+// -------------------------------------------------------------------------
+
+::testing::AssertionResult same_parts(const std::vector<TilePart>& a, const PartArena& b) {
+    if (a.size() != b.used())
+        return ::testing::AssertionFailure() << a.size() << " vs " << b.used() << " parts";
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const TilePart& x = a[i];
+        const TilePart& y = b.at(i);
+        if (x.query != y.query || x.weight != y.weight || x.out_q != y.out_q)
+            return ::testing::AssertionFailure()
+                   << "part " << i << ": query " << x.query << "/" << y.query << ", weight "
+                   << x.weight << "/" << y.weight;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std::int8_t>& q,
+                                     const Matrix<std::int8_t>& k,
+                                     const Matrix<std::int8_t>& v, const std::string& what) {
+    const PwlExp exp_unit;
+    const Reciprocal recip_unit;
+    const CycleConfig ccfg;
+    const TileExecutor exec(exp_unit, recip_unit, q, k, v);
+    const CycleAccurateArray array(plan.geometry, ccfg, exp_unit, recip_unit, q, k, v);
+    std::vector<TilePart> parts;
+    PartArena arena;
+    PartScratch scratch;
+    for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+        const TileTask& tile = plan.tiles[t];
+        ActivityStats a, b;
+        parts.clear();
+        arena.reset();
+        array.run(tile, parts, a);
+        exec.run(tile, arena, b, scratch);
+        b.pe_cycles += static_cast<std::int64_t>(tile.rows()) * tile.cols() *
+                       tile_cycles(tile, plan.head_dim, ccfg).total();
+        const std::string where = what + ", tile " + std::to_string(t);
+        ASSERT_TRUE(same_parts(parts, arena)) << where;
+        EXPECT_EQ(a.mac_ops, b.mac_ops) << where;
+        EXPECT_EQ(a.exp_ops, b.exp_ops) << where;
+        EXPECT_EQ(a.valid_slots, b.valid_slots) << where;
+        EXPECT_EQ(a.array_slots, b.array_slots) << where;
+        EXPECT_EQ(a.pe_cycles, b.pe_cycles) << where;
     }
 }
 
-TEST(CycleAccurate, BitExactSlidingWindow) {
-    expect_bit_exact(sliding_window(64, 8), 16, 1);
-}
+struct DatapathShape {
+    const char* name;
+    HybridPattern pattern;
+    int head_dim;
+    int rows;
+    int cols;
+};
 
-TEST(CycleAccurate, BitExactLongformer) {
-    expect_bit_exact(longformer(64, 8, 1), 8, 2);
-}
+TEST(CycleAccurate, ProductionDatapathBitIdenticalToArray) {
+    const std::vector<DatapathShape> shapes = {
+        {"sliding window d16, 8x8", sliding_window(64, 8), 16, 8, 8},
+        {"longformer d8, 8x8", longformer(64, 8, 1), 8, 8, 8},
+        {"dilated window d8, 8x8", dilated_window(64, -2, 2, 3), 8, 8, 8},
+        {"vil_2d d8, 8x8", vil_2d(8, 8, 3, 3, 1), 8, 8, 8},
+        {"many globals d8, 8x8", sparse_transformer_fixed(40, 8), 8, 8, 8},
+        {"longformer d16, 8x8", longformer(128, 16, 1), 16, 8, 8},
+        {"longformer d64 w64, two globals", longformer(256, 64, 2), 64, 32, 32},
+        {"longformer d128", longformer(160, 64, 1), 128, 32, 32},
+        {"dilated window", dilated_window(256, -12, 12, 3), 64, 32, 32},
+        {"vil_2d, packed segments", vil_2d(12, 12, 5, 5, 1), 64, 32, 32},
+        {"longformer on a 16x48 array", longformer(256, 96, 1), 64, 16, 48},
+    };
+    for (const DatapathShape& shape : shapes) {
+        const AttentionWorkload workload{shape.name, shape.pattern, 2, shape.head_dim, 0, 0.0};
+        const auto qkv = make_qkv(workload, 3);
+        ArrayGeometry geometry;
+        geometry.rows = shape.rows;
+        geometry.cols = shape.cols;
+        const SchedulePlan plan =
+            schedule(shape.pattern, geometry, shape.head_dim, ScheduleOptions{});
+        for (int h = 0; h < workload.heads; ++h)
+            expect_production_matches_array(
+                plan, quantize_input(qkv.q[h], workload.scale()), quantize<InputFx>(qkv.k[h]),
+                quantize<InputFx>(qkv.v[h]), std::string(shape.name) + ", head " +
+                                                  std::to_string(h));
+    }
 
-TEST(CycleAccurate, BitExactDilated) {
-    expect_bit_exact(dilated_window(64, -2, 2, 3), 8, 3);
-}
+    // Every exponential underflows: q . k = 16 x 7.5 x -7.5 = -900. No part
+    // carries mass, so neither side emits one or counts stage-5 MACs.
+    {
+        ArrayGeometry geometry;
+        geometry.rows = 8;
+        geometry.cols = 8;
+        const HybridPattern pattern = sliding_window(32, 8);
+        Rng rng(29);
+        const Matrix<std::int8_t> q = quantize<InputFx>(Matrix<float>(32, 16, 7.5f));
+        const Matrix<std::int8_t> k = quantize<InputFx>(Matrix<float>(32, 16, -7.5f));
+        const Matrix<std::int8_t> v = quantize<InputFx>(random_matrix(32, 16, rng));
+        expect_production_matches_array(schedule(pattern, geometry, 16, ScheduleOptions{}),
+                                        q, k, v, "all exponentials underflow");
+    }
 
-TEST(CycleAccurate, BitExactVil2d) {
-    expect_bit_exact(vil_2d(8, 8, 3, 3, 1), 8, 4);
-}
-
-TEST(CycleAccurate, BitExactManyGlobals) {
-    expect_bit_exact(sparse_transformer_fixed(40, 8), 8, 5);
+    // Decode: each step's micro-plan runs one query row against the compact
+    // [pinned globals][window] K/V of a stream that has evicted a global.
+    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
+    const int heads = 2, d = 16;
+    const SaloEngine engine{SaloConfig{}};
+    QuantizedDecodeState state(heads, d, decode_window_span(bands), {0, 1});
+    Rng rng(53);
+    for (int t = 0; t < 16; ++t) {
+        const Matrix<float> q_row = random_matrix(heads, d, rng);
+        const Matrix<float> k_row = random_matrix(heads, d, rng);
+        const Matrix<float> v_row = random_matrix(heads, d, rng);
+        state.append(k_row, v_row);
+        const std::vector<int> globals = t == 0 ? std::vector<int>{0} : std::vector<int>{0, 1};
+        const CompiledPlanPtr micro =
+            engine.compile_step(HybridPattern(t + 1, bands, globals), d);
+        const auto [k, v] = state.assemble();
+        for (int h = 0; h < heads; ++h) {
+            Matrix<float> q(1, d);
+            std::copy(q_row.row(h).begin(), q_row.row(h).end(), q.data().begin());
+            expect_production_matches_array(
+                micro->plan(), quantize_input(q, 0.25f), k[h], v[h],
+                "decode step " + std::to_string(t) + ", head " + std::to_string(h));
+        }
+    }
 }
 
 TEST(CycleAccurate, MeasuredCyclesMatchFormulas) {

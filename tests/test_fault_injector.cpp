@@ -123,6 +123,10 @@ TEST(FaultInjector, EngineLevelInjectorFaultsEveryRunUntilCap) {
         const LayerResult one_lane =
             SaloEngine(serving_config(1)).run(*plan, qkv.q, qkv.k, qkv.v, w.scale());
         expect_identical_layer(ok, one_lane, "after the capped fault");
+        // run_head consults the same engine-level injector at every tile.
+        const std::uint64_t seen = injector->tiles_seen();
+        (void)engine.run_head(*plan, qkv.q[0], qkv.k[0], qkv.v[0], w.scale());
+        EXPECT_EQ(injector->tiles_seen(), seen + tiles);
     }
 }
 
@@ -141,7 +145,8 @@ TEST(FaultInjector, FaultedRequestFailsAloneAndBatchStaysBitIdentical) {
     const SaloEngine sequential(serving_config(1));
     std::vector<LayerResult> expected;
     for (int i = 0; i <= kSiblings; ++i)
-        expected.push_back(sequential.run(w.pattern, inputs[static_cast<std::size_t>(i)].q,
+        expected.push_back(sequential.run(*sequential.compile(w.pattern, w.head_dim),
+                                          inputs[static_cast<std::size_t>(i)].q,
                                           inputs[static_cast<std::size_t>(i)].k,
                                           inputs[static_cast<std::size_t>(i)].v,
                                           w.scale()));

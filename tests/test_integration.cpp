@@ -21,6 +21,12 @@ SaloConfig small_config(Fidelity fidelity = Fidelity::kFunctional) {
     return c;
 }
 
+LayerResult run_layer(const SaloEngine& engine, const AttentionWorkload& w,
+                      const QkvSet& qkv) {
+    return engine.run(*engine.compile(w.pattern, w.head_dim), qkv.q, qkv.k, qkv.v,
+                      w.scale());
+}
+
 TEST(Integration, MiniLongformerAllFidelities) {
     const AttentionWorkload w = longformer_small(96, 16, 2, 16, 2);
     const QkvSet qkv = make_qkv(w, 77);
@@ -28,9 +34,9 @@ TEST(Integration, MiniLongformerAllFidelities) {
     const SaloEngine functional(small_config(Fidelity::kFunctional));
     const SaloEngine cycle(small_config(Fidelity::kCycleAccurate));
 
-    const auto g = golden.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto f = functional.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto c = cycle.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto g = run_layer(golden, w, qkv);
+    const auto f = run_layer(functional, w, qkv);
+    const auto c = run_layer(cycle, w, qkv);
 
     for (int h = 0; h < w.heads; ++h) {
         // Functional == cycle-accurate bit-exactly.
@@ -56,8 +62,8 @@ TEST(Integration, MiniVilAllFidelities) {
     const QkvSet qkv = make_qkv(w, 88);
     const SaloEngine functional(small_config(Fidelity::kFunctional));
     const SaloEngine cycle(small_config(Fidelity::kCycleAccurate));
-    const auto f = functional.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto c = cycle.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto f = run_layer(functional, w, qkv);
+    const auto c = run_layer(cycle, w, qkv);
     for (int h = 0; h < w.heads; ++h)
         EXPECT_DOUBLE_EQ(max_abs_diff(f.output[h], c.output[h]), 0.0);
     for (int h = 0; h < w.heads; ++h) {
@@ -116,7 +122,8 @@ TEST(Integration, EngineAgreesWithStreamingOracle) {
     const auto w = longformer_small(80, 12, 1, 16, 1);
     const QkvSet qkv = make_qkv(w, 55);
     const SaloEngine engine(small_config());
-    const auto run = engine.run_head(w.pattern, qkv.q[0], qkv.k[0], qkv.v[0], w.scale());
+    const auto run = engine.run_head(*engine.compile(w.pattern, w.head_dim), qkv.q[0], qkv.k[0],
+                                     qkv.v[0], w.scale());
     const auto oracle = streaming_masked_attention(qkv.q[0], qkv.k[0], qkv.v[0],
                                                    w.scale(), w.pattern.attend_fn(), 7);
     EXPECT_LT(max_abs_diff(run.output, oracle), 0.25);
@@ -126,8 +133,8 @@ TEST(Integration, EndToEndDeterminism) {
     const auto w = longformer_small(64, 8, 2, 16, 1);
     const QkvSet qkv = make_qkv(w, 5);
     const SaloEngine engine(small_config());
-    const auto a = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto b = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto a = run_layer(engine, w, qkv);
+    const auto b = run_layer(engine, w, qkv);
     for (int h = 0; h < w.heads; ++h)
         EXPECT_DOUBLE_EQ(max_abs_diff(a.output[h], b.output[h]), 0.0);
     EXPECT_EQ(a.stats.cycles, b.stats.cycles);

@@ -25,7 +25,8 @@ TEST(SaloModel, MatchesEngineFunctionalCycles) {
     const SaloConfig config = small_config();
     const SaloEngine engine(config);
     const auto qkv = make_qkv(workload, 3);
-    const auto run = engine.run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+    const auto run = engine.run(*engine.compile(workload.pattern, workload.head_dim), qkv.q,
+                                qkv.k, qkv.v, workload.scale());
     const auto plan = engine.compile(workload.pattern, workload.head_dim)->plan();
     const SimStats estimate = estimate_head_stats(plan, config);
     EXPECT_EQ(estimate.cycles, run.stats.cycles);
@@ -41,7 +42,8 @@ TEST(SaloModel, PipeliningMatchesEngineAndReducesCycles) {
     config.tile_pipelining = true;
     const SaloEngine engine(config);
     const auto qkv = make_qkv(workload, 4);
-    const auto run = engine.run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+    const auto run = engine.run(*engine.compile(workload.pattern, workload.head_dim), qkv.q,
+                                qkv.k, qkv.v, workload.scale());
     const auto plan = engine.compile(workload.pattern, workload.head_dim)->plan();
     EXPECT_EQ(estimate_head_stats(plan, config).cycles, run.stats.cycles);
 

@@ -1,6 +1,6 @@
 // Parallel execution: determinism across thread counts (one head per lane),
-// the reference-vs-production datapath bit-identity, the dispatched kernels,
-// and the thread pool itself.
+// the tile path against the row path, the dispatched kernels, and the thread
+// pool itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "attention/streaming.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
@@ -34,6 +33,13 @@ SaloConfig config_with_threads(int threads, Fidelity fidelity = Fidelity::kFunct
     c.fidelity = fidelity;
     c.num_threads = threads;
     return c;
+}
+
+LayerResult run_layer(const SaloConfig& config, const AttentionWorkload& workload,
+                      const QkvSet& qkv) {
+    const SaloEngine engine(config);
+    return engine.run(*engine.compile(workload.pattern, workload.head_dim), qkv.q, qkv.k,
+                      qkv.v, workload.scale());
 }
 
 void expect_identical(const LayerResult& a, const LayerResult& b, const char* what) {
@@ -62,12 +68,9 @@ TEST(ParallelEngine, FunctionalDeterministicAcrossThreadCounts) {
     for (int heads : {3, 5}) {
         const auto workload = longformer_small(192, 16, heads, 16, 1);
         const auto qkv = make_qkv(workload, 11);
-        const auto base = SaloEngine(config_with_threads(1))
-                              .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+        const auto base = run_layer(config_with_threads(1), workload, qkv);
         for (int threads : {2, 3, 4, 8}) {
-            const auto par = SaloEngine(config_with_threads(threads))
-                                 .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                      workload.scale());
+            const auto par = run_layer(config_with_threads(threads), workload, qkv);
             const std::string what = "functional, " + std::to_string(heads) + " heads, " +
                                      std::to_string(threads) + " threads";
             expect_identical(base, par, what.c_str());
@@ -80,12 +83,10 @@ TEST(ParallelEngine, CycleAccurateDeterministicAcrossThreadCounts) {
         const auto workload = longformer_small(64, 8, heads, 8, 1);
         const auto qkv = make_qkv(workload, 5);
         const auto base =
-            SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
-                .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+            run_layer(config_with_threads(1, Fidelity::kCycleAccurate), workload, qkv);
         for (int threads : {2, 3, 4, 8}) {
             const auto par =
-                SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
-                    .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+                run_layer(config_with_threads(threads, Fidelity::kCycleAccurate), workload, qkv);
             const std::string what = "cycle-accurate, " + std::to_string(heads) +
                                      " heads, " + std::to_string(threads) + " threads";
             expect_identical(base, par, what.c_str());
@@ -99,29 +100,26 @@ TEST(ParallelEngine, SingleHeadRunAtEightLanesMatchesOneLane) {
     const auto q = random_matrix(256, 16, rng, 0.0, 0.8);
     const auto k = random_matrix(256, 16, rng, 0.0, 0.8);
     const auto v = random_matrix(256, 16, rng, 0.0, 0.8);
-    const auto seq = SaloEngine(config_with_threads(1)).run_head(pattern, q, k, v, 0.25f);
-    const auto par = SaloEngine(config_with_threads(8)).run_head(pattern, q, k, v, 0.25f);
+    const SaloEngine one(config_with_threads(1));
+    const SaloEngine eight(config_with_threads(8));
+    const auto seq = one.run_head(*one.compile(pattern, 16), q, k, v, 0.25f);
+    const auto par = eight.run_head(*eight.compile(pattern, 16), q, k, v, 0.25f);
     EXPECT_DOUBLE_EQ(max_abs_diff(seq.output, par.output), 0.0);
     EXPECT_EQ(seq.stats.cycles, par.stats.cycles);
     EXPECT_EQ(seq.stats.activity.mac_ops, par.stats.activity.mac_ops);
 }
 
 // -------------------------------------------------------------------------
-// Reference (seed) datapath vs the production one, tile by tile: the
-// vector run(tile, parts, ...) against run(tile, arena, ..., scratch) on
-// every tile of each plan. The plans cover every segment layout the
-// scheduler emits (single, dilated, column-packed multi-segment), a
-// non-square array, d = 16, 64, 128 and decode micro-plans (one query row
-// against the compact K/V layout). On an AVX-512 VNNI host the production
-// datapath runs the multi-row tiles on the tile path.
+// Part and activity comparison for the datapath tests below. The production
+// datapath's oracle test (against the cycle-accurate array) lives in
+// test_cycle_accurate.cpp.
 // -------------------------------------------------------------------------
 
-template <typename At>
-::testing::AssertionResult same_parts(std::size_t count, At at, const PartArena& b) {
-    if (count != b.used())
-        return ::testing::AssertionFailure() << count << " vs " << b.used() << " parts";
-    for (std::size_t i = 0; i < count; ++i) {
-        const TilePart& x = at(i);
+::testing::AssertionResult same_parts(const PartArena& a, const PartArena& b) {
+    if (a.used() != b.used())
+        return ::testing::AssertionFailure() << a.used() << " vs " << b.used() << " parts";
+    for (std::size_t i = 0; i < a.used(); ++i) {
+        const TilePart& x = a.at(i);
         const TilePart& y = b.at(i);
         if (x.query != y.query || x.weight != y.weight || x.out_q != y.out_q)
             return ::testing::AssertionFailure()
@@ -131,14 +129,6 @@ template <typename At>
     return ::testing::AssertionSuccess();
 }
 
-::testing::AssertionResult same_parts(const PartArena& a, const PartArena& b) {
-    return same_parts(a.used(), [&](std::size_t i) -> const TilePart& { return a.at(i); }, b);
-}
-
-::testing::AssertionResult same_parts(const std::vector<TilePart>& a, const PartArena& b) {
-    return same_parts(a.size(), [&](std::size_t i) -> const TilePart& { return a[i]; }, b);
-}
-
 void expect_same_activity(const ActivityStats& a, const ActivityStats& b,
                           const std::string& what) {
     EXPECT_EQ(a.mac_ops, b.mac_ops) << what;
@@ -146,87 +136,6 @@ void expect_same_activity(const ActivityStats& a, const ActivityStats& b,
     EXPECT_EQ(a.valid_slots, b.valid_slots) << what;
     EXPECT_EQ(a.array_slots, b.array_slots) << what;
     EXPECT_EQ(a.pe_cycles, b.pe_cycles) << what;
-}
-
-void expect_reference_matches_production(const SchedulePlan& plan,
-                                         const Matrix<std::int8_t>& q,
-                                         const Matrix<std::int8_t>& k,
-                                         const Matrix<std::int8_t>& v,
-                                         const std::string& what) {
-    const PwlExp exp_unit;
-    const Reciprocal recip_unit;
-    const TileExecutor exec(exp_unit, recip_unit, q, k, v);
-    std::vector<TilePart> parts;
-    PartArena arena;
-    PartScratch scratch;
-    for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
-        ActivityStats a, b;
-        parts.clear();
-        arena.reset();
-        exec.run(plan.tiles[t], parts, a);
-        exec.run(plan.tiles[t], arena, b, scratch);
-        const std::string tile = what + ", tile " + std::to_string(t);
-        ASSERT_TRUE(same_parts(parts, arena)) << tile;
-        expect_same_activity(a, b, tile);
-    }
-}
-
-struct DatapathShape {
-    const char* name;
-    HybridPattern pattern;
-    int head_dim;
-    int rows;
-    int cols;
-};
-
-TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
-    const std::vector<DatapathShape> shapes = {
-        {"longformer d16, 8x8", longformer(128, 16, 1), 16, 8, 8},
-        {"longformer d64 w64, two globals", longformer(256, 64, 2), 64, 32, 32},
-        {"longformer d128", longformer(160, 64, 1), 128, 32, 32},
-        {"dilated window", dilated_window(256, -12, 12, 3), 64, 32, 32},
-        {"vil_2d, packed segments", vil_2d(12, 12, 5, 5, 1), 64, 32, 32},
-        {"longformer on a 16x48 array", longformer(256, 96, 1), 64, 16, 48},
-    };
-    for (const DatapathShape& shape : shapes) {
-        const AttentionWorkload workload{shape.name, shape.pattern, 2, shape.head_dim, 0, 0.0};
-        const auto qkv = make_qkv(workload, 3);
-        ArrayGeometry geometry;
-        geometry.rows = shape.rows;
-        geometry.cols = shape.cols;
-        const SchedulePlan plan =
-            schedule(shape.pattern, geometry, shape.head_dim, ScheduleOptions{});
-        for (int h = 0; h < workload.heads; ++h)
-            expect_reference_matches_production(
-                plan, quantize_input(qkv.q[h], workload.scale()), quantize<InputFx>(qkv.k[h]),
-                quantize<InputFx>(qkv.v[h]), std::string(shape.name) + ", head " +
-                                                  std::to_string(h));
-    }
-
-    // Decode: each step's micro-plan runs one query row against the compact
-    // [pinned globals][window] K/V of a stream that has evicted a global.
-    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
-    const int heads = 2, d = 16;
-    const SaloEngine engine{SaloConfig{}};
-    QuantizedDecodeState state(heads, d, decode_window_span(bands), {0, 1});
-    Rng rng(53);
-    for (int t = 0; t < 16; ++t) {
-        const Matrix<float> q_row = random_matrix(heads, d, rng);
-        const Matrix<float> k_row = random_matrix(heads, d, rng);
-        const Matrix<float> v_row = random_matrix(heads, d, rng);
-        state.append(k_row, v_row);
-        const std::vector<int> globals = t == 0 ? std::vector<int>{0} : std::vector<int>{0, 1};
-        const CompiledPlanPtr micro =
-            engine.compile_step(HybridPattern(t + 1, bands, globals), d);
-        const auto [k, v] = state.assemble();
-        for (int h = 0; h < heads; ++h) {
-            Matrix<float> q(1, d);
-            std::copy(q_row.row(h).begin(), q_row.row(h).end(), q.data().begin());
-            expect_reference_matches_production(
-                micro->plan(), quantize_input(q, 0.25f), k[h], v[h],
-                "decode step " + std::to_string(t) + ", head " + std::to_string(h));
-        }
-    }
 }
 
 // -------------------------------------------------------------------------

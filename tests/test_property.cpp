@@ -65,7 +65,7 @@ TEST_P(RandomPattern, EngineMatchesGoldenOnQuantizedInputs) {
     const auto v = random_matrix(n, d, rng, 0.0, 0.8);
     const float scale = 0.35f;
 
-    const auto sim = engine.run_head(pattern, q, k, v, scale);
+    const auto sim = engine.run_head(*engine.compile(pattern, q.cols()), q, k, v, scale);
 
     // Golden on the same quantized inputs isolates datapath error.
     Matrix<float> q_scaled = q;

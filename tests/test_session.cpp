@@ -74,12 +74,12 @@ TEST(Session, ConcurrentMixedStreamBitIdenticalToSequentialRun) {
     // Sequential ground truth: one engine, one thread, one-shot calls.
     const SaloEngine sequential(serving_config(1));
     std::vector<LayerResult> expected;
-    for (int i = 0; i < kRequests; ++i)
-        expected.push_back(sequential.run(stream.workloads[static_cast<std::size_t>(i)].pattern,
-                                          stream.inputs[static_cast<std::size_t>(i)].q,
-                                          stream.inputs[static_cast<std::size_t>(i)].k,
-                                          stream.inputs[static_cast<std::size_t>(i)].v,
-                                          stream.workloads[static_cast<std::size_t>(i)].scale()));
+    for (int i = 0; i < kRequests; ++i) {
+        const AttentionWorkload& w = stream.workloads[static_cast<std::size_t>(i)];
+        const QkvSet& x = stream.inputs[static_cast<std::size_t>(i)];
+        expected.push_back(
+            sequential.run(*sequential.compile(w.pattern, w.head_dim), x.q, x.k, x.v, w.scale()));
+    }
 
     for (int threads : {1, 2, 8}) {
         SaloSession session(serving_config(threads));

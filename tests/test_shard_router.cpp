@@ -56,6 +56,12 @@ struct Work {
     AttentionRequest request() const {
         return make_request(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
     }
+
+    /// The layer run synchronously on `engine`: the bit-exact reference.
+    LayerResult run_on(const SaloEngine& engine) const {
+        return engine.run(*engine.compile(w.pattern, w.head_dim), qkv.q, qkv.k, qkv.v,
+                          w.scale());
+    }
 };
 
 void expect_conserved(const SessionStats& s) {
@@ -255,8 +261,7 @@ TEST(ShardedSession, MixedStreamBitIdenticalToSequentialEngine) {
     std::vector<LayerResult> expected;
     expected.reserve(work.size());
     for (const Work& w : work)
-        expected.push_back(
-            reference.run(w.w.pattern, w.qkv.q, w.qkv.k, w.qkv.v, w.w.scale()));
+        expected.push_back(w.run_on(reference));
 
     ShardedSessionOptions options;
     options.num_shards = 2;
@@ -302,9 +307,7 @@ TEST(ShardedSession, TransientFaultFailsOverToAnotherShardAndCompletes) {
     const SaloConfig config = serving_config(1);
     const SaloEngine reference(config);
     const Work work;
-    const LayerResult expected =
-        reference.run(work.w.pattern, work.qkv.q, work.qkv.k, work.qkv.v,
-                      work.w.scale());
+    const LayerResult expected = work.run_on(reference);
 
     ShardedSessionOptions options;
     options.num_shards = 2;
@@ -760,8 +763,7 @@ TEST(TenantFairness, SharedPlanStoreCompilesOnceTierWide) {
     ASSERT_NE(tier.shared_plan_store(), nullptr);
 
     const SaloEngine seq(serving_config(1));
-    const LayerResult expected = seq.run(work.w.pattern, work.qkv.q, work.qkv.k,
-                                         work.qkv.v, work.w.scale());
+    const LayerResult expected = work.run_on(seq);
 
     // A concurrent burst: least-cost routing is free to spread the shape
     // over any subset of shards — the compile count must stay 1 anyway.

@@ -46,11 +46,12 @@ SimResult run_functional(const HybridPattern& pattern, const Matrix<float>& q,
     const TileExecutor exec(exp_unit, recip_unit, qq, kq, vq);
     WeightedSumModule wsm(pattern.n(), q.cols(), recip_unit);
     SimResult result;
-    std::vector<TilePart> parts;
+    PartArena arena;
+    PartScratch scratch;
     for (const TileTask& tile : plan.tiles) {
-        parts.clear();
-        exec.run(tile, parts, result.activity);
-        for (const TilePart& p : parts) wsm.merge(p);
+        arena.reset();
+        exec.run(tile, arena, result.activity, scratch);
+        for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
     }
     result.output = wsm.finalize();
     return result;
