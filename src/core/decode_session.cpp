@@ -26,8 +26,10 @@ HybridPattern prefix_pattern(const HybridPattern& full, int length) {
 DecodeSession::DecodeSession(const SaloConfig& config, DecodeSessionOptions options)
     : ServingTier(config, options.num_shards, options.shard_fault_injectors,
                   options.shared_plan_store, options.health, /*steps=*/true),
-      admission_(options.admission) {
-    start(1, [this] { serve_loop(); });
+      admission_(options.admission),
+      ready_(shards_.size()) {
+    for (int s = 0; s < num_shards(); ++s)
+        start(config.effective_threads(), [this, s] { lane_loop(s); });
 }
 
 DecodeSession::~DecodeSession() { close(); }
@@ -148,12 +150,12 @@ std::future<StepResult> DecodeSession::step(StreamId stream_id, StepRequest requ
     ++queued_steps_;
     queued_cost_ += pending.cost;
     stream.pending.push_back(std::move(pending));
-    if (!stream.executing && !stream.queued) {
-        stream.queued = true;
-        ready_.push_back(stream_id);
-    }
+    if (stream.executing || stream.queued) return future;  // its lane re-queues it
+    const auto shard = static_cast<std::size_t>(stream.shard);
+    stream.queued = true;
+    ready_[shard].push_back(stream_id);
     lock.unlock();
-    cv_work_.notify_one();
+    shards_[shard]->cv_work.notify_one();
     return future;
 }
 
@@ -174,7 +176,7 @@ void DecodeSession::evict_locked(Stream& stream, const std::string& reason) {
     stream.queued = false;
 }
 
-Resolution DecodeSession::execute(ExecItem& item, int thread_budget) {
+Resolution DecodeSession::execute(ExecItem& item) {
     Stream& stream = *item.stream;
     StepRequest& request = item.step.request;
     std::promise<StepResult>& promise = item.step.promise;
@@ -207,14 +209,14 @@ Resolution DecodeSession::execute(ExecItem& item, int thread_budget) {
     FailedAttempt failure;
     try {
         RunOptions run_options;
-        run_options.thread_budget = thread_budget;
+        run_options.thread_budget = 1;
         run_options.cancel = request.cancel;
         run_options.deadline = request.deadline;
         // Shard-level injectors were folded into the shard's SaloConfig at
         // construction; this only carries a per-step override.
         run_options.fault_injector = request.fault_injector.get();
 
-        promise.set_value(std::visit(
+        StepResult result = std::visit(
             [&](auto& state) {
                 // Commit the position to the append log first: whatever
                 // happens below, position t is spoken for (a failure evicts
@@ -227,127 +229,90 @@ Resolution DecodeSession::execute(ExecItem& item, int thread_budget) {
                 return engine.run_step(*micro, request.q_row, k_compact, v_compact,
                                        stream.scale, run_options);
             },
-            stream.state));
+            stream.state);
+        // The breaker records every outcome before the caller can see it,
+        // so a step submitted after this future resolves, on any lane,
+        // meets the shard health this step left behind.
         health_.record(stream.shard, CircuitBreaker::Outcome::success, Clock::now());
+        promise.set_value(std::move(result));
         return Resolution::completed;
     } catch (...) {
         failure = classify_failure(request.deadline);
     }
     // No retry: the position is committed, so any failure evicts the stream.
-    promise.set_exception(failure.error);
     health_.record(stream.shard, failure.breaker, Clock::now());
+    promise.set_exception(failure.error);
     return failure.resolution;
 }
 
-void DecodeSession::serve_loop() {
-    std::vector<ExecItem> batch;
-    std::vector<Resolution> outcome;
+void DecodeSession::lane_loop(int shard) {
+    std::deque<StreamId>& ready = ready_[static_cast<std::size_t>(shard)];
+    std::condition_variable& cv_work = shards_[static_cast<std::size_t>(shard)]->cv_work;
+    const int lanes = config().effective_threads();
+    std::vector<ExecItem> chunk;
+    std::unique_lock<std::mutex> lock(m_);
     for (;;) {
-        std::uint64_t batch_cost = 0;
-        {
-            std::unique_lock<std::mutex> lock(m_);
-            cv_work_.wait(lock, [this] { return closed_ || !ready_.empty(); });
-            if (ready_.empty()) {
-                // Invariant: a stream with queued steps is in ready_ unless
-                // it is mid-execution, and the (single) dispatcher is here —
-                // so an empty ready_ means an empty backlog.
-                if (closed_) return;
-                continue;
-            }
-            batch.clear();
-            // One step per stream per batch: steps of one stream are a
-            // strictly-ordered append log, so intra-stream concurrency is
-            // impossible by construction; inter-stream steps batch freely.
-            while (!ready_.empty()) {
-                const StreamId id = ready_.front();
-                ready_.pop_front();
-                const auto sit = streams_.find(id);
-                if (sit == streams_.end()) continue;  // closed while queued
-                Stream& stream = *sit->second;
-                stream.queued = false;
-                // An eviction while the id sat in ready_ drains pending but
-                // leaves this stale entry behind; just skip it.
-                if (stream.pending.empty()) continue;
-                ExecItem item;
-                item.id = id;
-                item.stream = &stream;
-                item.step = std::move(stream.pending.front());
-                stream.pending.pop_front();
-                stream.executing = true;
-                --queued_steps_;
-                queued_cost_ -= item.step.cost;
-                batch_cost += item.step.cost;
-                in_flight_cost_ += item.step.cost;
-                batch.push_back(std::move(item));
-            }
-            in_flight_ = batch.size();
-        }
-        cv_space_.notify_all();
-
-        outcome.assign(batch.size(), Resolution::completed);
-        if (batch.size() == 1) {
-            // Idle tier: the lone step gets its shard's whole pool.
-            outcome[0] = execute(batch[0], /*thread_budget=*/0);
-        } else if (!batch.empty()) {
-            // Step-level parallelism, grouped per shard so each group runs
-            // on its own engine's pool (budget 1 per step — no nested
-            // parallelism, bit-identical to the sequential path). Groups of
-            // different shards run concurrently on one helper thread each.
-            std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                by_shard[static_cast<std::size_t>(batch[i].stream->shard)].push_back(i);
-            auto run_group = [&](const std::vector<std::size_t>& group) {
-                if (group.empty()) return;
-                if (group.size() == 1) {
-                    outcome[group[0]] = execute(batch[group[0]], /*thread_budget=*/1);
-                    return;
-                }
-                SaloEngine& engine =
-                    shards_[static_cast<std::size_t>(batch[group[0]].stream->shard)]
-                        ->engine;
-                engine.pool().parallel_for(
-                    static_cast<int>(group.size()), [&](int i, int) {
-                        const std::size_t slot = group[static_cast<std::size_t>(i)];
-                        outcome[slot] = execute(batch[slot], /*thread_budget=*/1);
-                    });
-            };
-            std::vector<std::thread> helpers;
-            bool first = true;
-            const std::vector<std::size_t>* inline_group = nullptr;
-            for (const auto& group : by_shard) {
-                if (group.empty()) continue;
-                if (first) {
-                    inline_group = &group;
-                    first = false;
-                } else {
-                    helpers.emplace_back([&run_group, &group] { run_group(group); });
-                }
-            }
-            if (inline_group != nullptr) run_group(*inline_group);
-            for (std::thread& t : helpers) t.join();
-        }
-
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                Stream& stream = *batch[i].stream;
+        if (!chunk.empty()) {
+            for (ExecItem& item : chunk) {
+                Stream& stream = *item.stream;
                 stream.executing = false;
-                ledger_.resolve(stream.tenant, outcome[i]);
-                if (outcome[i] != Resolution::completed) {
+                in_flight_cost_ -= item.step.cost;
+                ledger_.resolve(stream.tenant, item.outcome);
+                if (item.outcome != Resolution::completed) {
                     // Uniform eviction contract: any non-success outcome
                     // leaves a hole in the append log.
                     evict_locked(stream, "a step failed to complete");
-                } else if (!stream.pending.empty() && !stream.queued) {
+                } else if (!stream.pending.empty()) {
                     stream.queued = true;
-                    ready_.push_back(batch[i].id);
+                    ready.push_back(item.id);
                 }
             }
-            if (!batch.empty()) ledger_.batch(batch.size());
-            in_flight_cost_ -= batch_cost;
-            in_flight_ = 0;
+            in_flight_ -= chunk.size();
+            chunk.clear();
+            cv_space_.notify_all();
+            cv_idle_.notify_all();
         }
+        cv_work.wait(lock, [&] { return closed_ || !ready.empty(); });
+        // A stream with queued steps is in its shard's queue unless a lane
+        // of that shard is running it, and that lane re-queues it before it
+        // waits: so a closed tier with an empty queue has nothing left here.
+        if (ready.empty()) return;
+        // An even share of the queue, capped so a lane never holds more
+        // than kChunkCap streams behind one slow step.
+        const std::size_t share = (ready.size() + static_cast<std::size_t>(lanes) - 1) /
+                                  static_cast<std::size_t>(lanes);
+        const std::size_t take = std::min(kChunkCap, share);
+        while (chunk.size() < take && !ready.empty()) {
+            const StreamId id = ready.front();
+            ready.pop_front();
+            const auto sit = streams_.find(id);
+            if (sit == streams_.end()) continue;  // closed while queued
+            Stream& stream = *sit->second;
+            stream.queued = false;
+            // An eviction while the id sat in the queue drains pending but
+            // leaves this stale entry behind; just skip it.
+            if (stream.pending.empty()) continue;
+            ExecItem item;
+            item.id = id;
+            item.stream = &stream;
+            item.step = std::move(stream.pending.front());
+            stream.pending.pop_front();
+            stream.executing = true;
+            --queued_steps_;
+            queued_cost_ -= item.step.cost;
+            in_flight_cost_ += item.step.cost;
+            chunk.push_back(std::move(item));
+        }
+        if (chunk.empty()) continue;
+        in_flight_ += chunk.size();
+        ledger_.chunk(chunk.size());
+        const bool more = !ready.empty();
+        lock.unlock();
         cv_space_.notify_all();
-        cv_idle_.notify_all();
+        // Work left behind: wake one more lane, which does the same.
+        if (more) cv_work.notify_one();
+        for (ExecItem& item : chunk) item.outcome = execute(item);
+        lock.lock();
     }
 }
 
@@ -364,9 +329,7 @@ void DecodeSession::close_stream(StreamId stream_id) {
 
 void DecodeSession::drain() {
     std::unique_lock<std::mutex> lock(m_);
-    cv_idle_.wait(lock, [this] {
-        return queued_steps_ == 0 && in_flight_ == 0 && ready_.empty();
-    });
+    cv_idle_.wait(lock, [this] { return queued_steps_ == 0 && in_flight_ == 0; });
 }
 
 int DecodeSession::stream_shard(StreamId stream_id) const {

@@ -17,16 +17,20 @@
 //   ...
 //   session.close_stream(s);
 //
-// Batching: a dispatcher thread gathers the front step of every ready
-// stream into one batch — steps of one stream always execute in submission
-// order (the K/V append log is strictly ordered), steps of different
-// streams run concurrently on the engine pools (budget 1 each), and a lone
-// step gets the whole pool. Every completed step is bit-identical to row t
-// of the full-prefix encode.
+// Step lanes: each shard has a FIFO queue of ready streams and as many lane
+// threads as its engine has lanes (SaloConfig::effective_threads()). A lane
+// pulls work continuously: under one lock per turn it resolves the chunk it
+// just ran and claims the front step of the next few ready streams, then
+// runs them outside the lock, one after another, each on one lane
+// (thread_budget 1: a step's heads run in order). No lane waits for
+// another, so a slow or stalled step holds only the rest of its own chunk.
+// A stream is either queued or executing on one lane, never both, so its
+// steps execute strictly in submission order (the K/V append log is
+// strictly ordered). Every completed step is bit-identical to row t of the
+// full-prefix encode.
 //
 // Shards, admission, accounting and close() are the shared serving core
-// (core/tier.hpp); only the stream table and the step dispatcher live
-// here.
+// (core/tier.hpp); only the stream table and the step lanes live here.
 //
 // State affinity (the contract docs/API.md "Decode lifecycle" documents):
 // a stream's DecodeState lives on exactly one engine shard, picked by
@@ -95,6 +99,10 @@ struct DecodeSessionOptions {
 
 class DecodeSession : public ServingTier {
 public:
+    /// Most steps one lane claims per turn (SessionStats::max_batch never
+    /// exceeds it).
+    static constexpr std::size_t kChunkCap = 32;
+
     explicit DecodeSession(const SaloConfig& config = {},
                            DecodeSessionOptions options = {});
     ~DecodeSession();  // close()
@@ -145,8 +153,8 @@ private:
         std::variant<DecodeState, QuantizedDecodeState> state;
         std::deque<PendingStep> pending;
         std::uint64_t accepted_steps = 0;  ///< total step() calls admitted
-        bool executing = false;  ///< front step is in the current batch
-        bool queued = false;     ///< stream id is in ready_
+        bool executing = false;  ///< a lane is running its front step
+        bool queued = false;     ///< stream id is in its shard's ready queue
         bool evicted = false;
 
         Stream(HybridPattern p, int h, int d, float sc, std::string t, int sh,
@@ -167,10 +175,13 @@ private:
         StreamId id = 0;
         Stream* stream = nullptr;
         PendingStep step;
+        Resolution outcome = Resolution::completed;
     };
 
-    void serve_loop();
-    Resolution execute(ExecItem& item, int thread_budget);
+    /// One step lane of `shard`: resolve the last chunk and claim the next
+    /// under m_, run it outside.
+    void lane_loop(int shard);
+    Resolution execute(ExecItem& item);
     /// Mark the stream evicted and fail everything still queued on it.
     /// Caller holds m_.
     void evict_locked(Stream& stream, const std::string& reason);
@@ -181,7 +192,8 @@ private:
 
     // Guarded by m_.
     std::unordered_map<StreamId, std::unique_ptr<Stream>> streams_;
-    std::deque<StreamId> ready_;  ///< streams with a dispatchable front step
+    /// Per shard: streams with a dispatchable front step, in FIFO order.
+    std::vector<std::deque<StreamId>> ready_;
     std::uint64_t next_stream_id_ = 1;
     std::size_t queued_steps_ = 0;
     std::uint64_t queued_cost_ = 0;

@@ -185,8 +185,6 @@ public:
                                 const Matrix<float>& k, const Matrix<float>& v, float scale);
 
 private:
-    friend class DecodeSession;  ///< batches decode steps onto the engine's pool
-
     /// Resolved robustness hooks for one run; null pointer = none active,
     /// which keeps the hot path free of per-tile clock reads and atomics.
     struct RunControl {

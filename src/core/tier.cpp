@@ -54,7 +54,7 @@ void OutcomeLedger::failed_over(const std::string& tenant) {
     ++tenants_[tenant].failed_over;
 }
 
-void OutcomeLedger::batch(std::size_t size) {
+void OutcomeLedger::chunk(std::size_t size) {
     ++totals_.batches;
     totals_.max_batch = std::max(totals_.max_batch, size);
 }
@@ -138,6 +138,7 @@ void ServingTier::close() {
         to_join.swap(threads_);
     }
     cv_work_.notify_all();
+    for (const auto& shard : shards_) shard->cv_work.notify_all();
     cv_space_.notify_all();
     if (to_join.empty()) return;
     for (std::thread& t : to_join) t.join();

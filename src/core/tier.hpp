@@ -21,8 +21,8 @@
 //     shard's circuit breaker records.
 //
 // The execution loops stay with the tiers: router workers carry whole
-// requests end to end (with retries), the decode dispatcher batches one
-// step per ready stream onto the engine pools.
+// requests end to end (with retries), and each decode shard's step lanes
+// pull chunks of ready streams from that shard's queue.
 #pragma once
 
 #include <atomic>
@@ -54,7 +54,7 @@ struct SessionStats {
     /// Of timed_out: requests shed while queued, before any execution (the
     /// remainder expired at a tile boundary mid-flight).
     std::uint64_t shed_expired = 0;
-    /// Decode dispatcher wake-ups that served work, and the largest batch
+    /// Chunks of steps claimed by decode step lanes, and the largest chunk
     /// (core/decode_session.hpp); always 0 on the whole-sequence tiers,
     /// whose router workers carry one request each.
     std::uint64_t batches = 0;
@@ -126,7 +126,7 @@ public:
     }
     void retried(const std::string& tenant);
     void failed_over(const std::string& tenant);
-    void batch(std::size_t size);
+    void chunk(std::size_t size);  ///< a decode lane claimed `size` steps
     void evicted_stream() { ++totals_.evicted_streams; }
 
     /// The counter fields of SessionStats (plan_cache and shard events are
@@ -209,6 +209,7 @@ protected:
         SaloEngine engine;
         std::atomic<std::uint64_t> outstanding_cost{0};  ///< routing load signal
         std::atomic<int> active{0};                      ///< attempts running here
+        std::condition_variable cv_work;  ///< work for this shard's own lanes / closing
     };
 
     /// Builds the shard set: shard i runs `config` with

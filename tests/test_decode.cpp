@@ -1,12 +1,14 @@
 // Streaming decode: micro-plan derivation and fingerprinting, the engine's
 // incremental run_step path (bit-identity against full-prefix encode at
 // every step), and the DecodeSession serving layer (stream lifecycle,
-// batching, eviction semantics, conservation).
+// step lanes, eviction semantics, conservation).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "attention/streaming.hpp"
@@ -424,7 +426,7 @@ TEST(RunStep, QuantizedStateRejectsGoldenFidelity) {
 }
 
 // -------------------------------------------------------------------------
-// DecodeSession: stream lifecycle, batching, eviction, conservation
+// DecodeSession: stream lifecycle, step lanes, eviction, conservation
 // -------------------------------------------------------------------------
 
 Matrix<float> head_row(const Tensor3<float>& all, int t, int heads, int d) {
@@ -432,6 +434,15 @@ Matrix<float> head_row(const Tensor3<float>& all, int t, int heads, int d) {
     for (int h = 0; h < heads; ++h)
         for (int x = 0; x < d; ++x) row(h, x) = all[h](t, x);
     return row;
+}
+
+// Rows 0..t of every head: the inputs of the length-(t+1) prefix encode.
+Tensor3<float> prefix_rows(const Tensor3<float>& all, int t) {
+    Tensor3<float> pre(all.count(), t + 1, all.cols());
+    for (int h = 0; h < all.count(); ++h)
+        for (int r = 0; r <= t; ++r)
+            for (int x = 0; x < all.cols(); ++x) pre[h](r, x) = all[h](r, x);
+    return pre;
 }
 
 // The session's fidelity fixes each stream's K/V storage: int8 rings for
@@ -526,7 +537,7 @@ TEST(DecodeSession, ConcurrentStreamsBitIdenticalAndConserved) {
                                           i % 2 == 0 ? "alice" : "bob"));
     }
 
-    // All streams step in lockstep so the dispatcher actually batches.
+    // All streams step in lockstep, so every lane has work.
     std::vector<std::vector<Tensor3<float>>> outputs(
         static_cast<std::size_t>(num_streams));
     for (int t = 0; t < steps; ++t) {
@@ -550,26 +561,15 @@ TEST(DecodeSession, ConcurrentStreamsBitIdenticalAndConserved) {
     // row attends every later key, so rows of a longer encode are not a
     // valid reference for the step that produced them.
     for (int i = 0; i < num_streams; ++i) {
-        const auto& q = q_all[static_cast<std::size_t>(i)];
-        const auto& k = k_all[static_cast<std::size_t>(i)];
-        const auto& v = v_all[static_cast<std::size_t>(i)];
+        const auto u = static_cast<std::size_t>(i);
         for (int t = 0; t < steps; ++t) {
-            Tensor3<float> q_pre(heads, t + 1, d), k_pre(heads, t + 1, d),
-                v_pre(heads, t + 1, d);
-            for (int h = 0; h < heads; ++h)
-                for (int r = 0; r <= t; ++r)
-                    for (int x = 0; x < d; ++x) {
-                        q_pre[h](r, x) = q[h](r, x);
-                        k_pre[h](r, x) = k[h](r, x);
-                        v_pre[h](r, x) = v[h](r, x);
-                    }
-            const HybridPattern prefix = prefix_pattern(t + 1, bands, globals);
             const LayerResult full =
-                ref.run(*ref.compile(prefix, d), q_pre, k_pre, v_pre, 0.5f);
+                ref.run(*ref.compile(prefix_pattern(t + 1, bands, globals), d),
+                        prefix_rows(q_all[u], t), prefix_rows(k_all[u], t),
+                        prefix_rows(v_all[u], t), 0.5f);
             for (int h = 0; h < heads; ++h)
                 for (int x = 0; x < d; ++x)
-                    ASSERT_EQ(outputs[static_cast<std::size_t>(i)]
-                                     [static_cast<std::size_t>(t)][h](0, x),
+                    ASSERT_EQ(outputs[u][static_cast<std::size_t>(t)][h](0, x),
                               full.output[h](t, x))
                         << "stream=" << i << " t=" << t;
         }
@@ -590,6 +590,141 @@ TEST(DecodeSession, ConcurrentStreamsBitIdenticalAndConserved) {
         total += ts.submitted;
     }
     EXPECT_EQ(total, st.submitted);
+}
+
+// Every step of every stream is queued before the first one runs, so each
+// lane claims chunks from a deep queue while other lanes still hold earlier
+// steps of the same streams: per-stream order must come from the lanes
+// alone.
+TEST(DecodeSession, PipelinedStepsKeepPerStreamOrder) {
+    SaloConfig config;
+    config.num_threads = 4;
+    const std::vector<Band> bands = {Band{-5, 6, 1, 0}};
+    const std::vector<int> globals = {0};
+    const int heads = 2, d = 8, steps = 24, num_streams = 8;
+    const HybridPattern pattern(steps, bands, globals);
+
+    DecodeSessionOptions options;
+    options.num_shards = 2;
+    DecodeSession session(config, options);
+    const SaloEngine ref(config);
+
+    std::vector<Tensor3<float>> q_all, k_all, v_all;
+    std::vector<StreamId> ids;
+    for (int i = 0; i < num_streams; ++i) {
+        Rng rng(2000u + static_cast<unsigned>(i));
+        q_all.push_back(random_tensor3(heads, steps, d, rng));
+        k_all.push_back(random_tensor3(heads, steps, d, rng));
+        v_all.push_back(random_tensor3(heads, steps, d, rng));
+        ids.push_back(session.open_stream(pattern, heads, d, 0.5f,
+                                          i % 2 == 0 ? "alice" : "bob"));
+    }
+    std::vector<std::vector<std::future<StepResult>>> futures(
+        static_cast<std::size_t>(num_streams));
+    for (int t = 0; t < steps; ++t)
+        for (int i = 0; i < num_streams; ++i) {
+            const auto u = static_cast<std::size_t>(i);
+            StepRequest req;
+            req.q_row = head_row(q_all[u], t, heads, d);
+            req.k_row = head_row(k_all[u], t, heads, d);
+            req.v_row = head_row(v_all[u], t, heads, d);
+            futures[u].push_back(session.step(ids[u], std::move(req)));
+        }
+
+    for (int i = 0; i < num_streams; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        for (int t = 0; t < steps; ++t) {
+            const StepResult got = futures[u][static_cast<std::size_t>(t)].get();
+            EXPECT_EQ(got.position, t);
+            const LayerResult full =
+                ref.run(*ref.compile(prefix_pattern(t + 1, bands, globals), d),
+                        prefix_rows(q_all[u], t), prefix_rows(k_all[u], t),
+                        prefix_rows(v_all[u], t), 0.5f);
+            for (int h = 0; h < heads; ++h)
+                for (int x = 0; x < d; ++x)
+                    ASSERT_EQ(got.output[h](0, x), full.output[h](t, x))
+                        << "stream=" << i << " t=" << t;
+        }
+    }
+    session.close();
+
+    const SessionStats st = session.stats();
+    EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(num_streams * steps));
+    EXPECT_EQ(st.steps, st.submitted);
+    EXPECT_EQ(st.completed, st.submitted);
+    EXPECT_EQ(st.accounted(), st.submitted);
+    EXPECT_GE(st.batches, 1u);
+    EXPECT_LE(st.max_batch, DecodeSession::kChunkCap);
+    const auto tenants = session.tenant_stats();
+    ASSERT_EQ(tenants.size(), 2u);
+    for (const auto& [name, ts] : tenants) {
+        EXPECT_EQ(ts.submitted, static_cast<std::uint64_t>(num_streams / 2 * steps)) << name;
+        EXPECT_EQ(ts.completed, ts.submitted) << name;
+        EXPECT_EQ(ts.accounted(), ts.submitted) << name;
+        EXPECT_EQ(ts.steps, ts.submitted) << name;
+    }
+}
+
+// A step wedged on one lane holds only that lane: the shard's other lane
+// keeps serving every other stream while the stalled step sleeps.
+TEST(DecodeSession, StalledStepDoesNotBlockOtherStreams) {
+    SaloConfig config;
+    config.num_threads = 2;  // one shard, two step lanes
+    const std::vector<Band> bands = {Band{-3, 4, 1, 0}};
+    const HybridPattern pattern(4, bands, {});
+    const int heads = 1, d = 8;
+    DecodeSession session(config);
+
+    Rng rng(31u);
+    const Tensor3<float> rows = random_tensor3(heads, 1, d, rng);
+    auto make_req = [&] {
+        StepRequest req;
+        req.q_row = head_row(rows, 0, heads, d);
+        req.k_row = head_row(rows, 0, heads, d);
+        req.v_row = head_row(rows, 0, heads, d);
+        return req;
+    };
+
+    FaultInjector::Config fc;
+    fc.stall_tiles = {0};
+    fc.stall_for = std::chrono::seconds(2);
+    fc.max_stalls = 1;
+    const auto stall = std::make_shared<FaultInjector>(fc);
+    const StreamId a = session.open_stream(pattern, heads, d, 0.5f);
+    StepRequest stalled = make_req();
+    stalled.fault_injector = stall;
+    std::future<StepResult> fa = session.step(a, std::move(stalled));
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (stall->stalls_injected() == 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "A's step never stalled";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::future<StepResult>> others;
+    for (int i = 0; i < 8; ++i)
+        others.push_back(session.step(session.open_stream(pattern, heads, d, 0.5f),
+                                      make_req()));
+    for (auto& f : others)
+        ASSERT_EQ(f.wait_until(t0 + std::chrono::seconds(1)), std::future_status::ready);
+    EXPECT_EQ(fa.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+
+    // Every stream ran the same first row: all nine steps equal row 0 of
+    // the length-1 prefix encode, A's included once its stall ends.
+    const SaloEngine ref(config);
+    const LayerResult full = ref.run(*ref.compile(prefix_pattern(1, bands, {}), d),
+                                     prefix_rows(rows, 0), prefix_rows(rows, 0),
+                                     prefix_rows(rows, 0), 0.5f);
+    others.push_back(std::move(fa));
+    for (auto& f : others) {
+        const StepResult got = f.get();
+        for (int h = 0; h < heads; ++h)
+            for (int x = 0; x < d; ++x) ASSERT_EQ(got.output[h](0, x), full.output[h](0, x));
+    }
+    session.close();
+    const SessionStats st = session.stats();
+    EXPECT_EQ(st.completed, 9u);
+    EXPECT_EQ(st.accounted(), st.submitted);
 }
 
 TEST(DecodeSession, InjectedFaultEvictsStreamAndLaterStepsFailTyped) {
