@@ -63,7 +63,7 @@ void BasicDecodeState<T>::append(const Matrix<float>& k_row, const Matrix<float>
         if constexpr (std::is_same_v<T, float>)
             std::copy_n(src.row(h).data(), d, dst);
         else
-            kernels::quantize_i8(src.row(h).data(), d, 1.0f, dst);
+            kernels::dispatched().quantize(src.row(h).data(), d, 1.0f, dst);
         if (is_global) std::copy_n(dst, d, pinned[h].row(pin_idx).data());
     };
     for (int h = 0; h < heads_; ++h) {

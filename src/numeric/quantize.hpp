@@ -15,10 +15,10 @@ namespace salo {
 /// InputFx raw values of float(v * scale) for every element v of `m`: the
 /// accelerator's input quantizer with the host-side 1/sqrt(d) prescale
 /// fused in. Bit-identical to InputFx::from_float(v * scale) per element (the
-/// dispatched kernels::quantize_i8).
+/// dispatched level's quantize kernel).
 inline Matrix<std::int8_t> quantize_input(const Matrix<float>& m, float scale) {
     Matrix<std::int8_t> out(m.rows(), m.cols());
-    kernels::quantize_i8(m.data().data(), m.size(), scale, out.data().data());
+    kernels::dispatched().quantize(m.data().data(), m.size(), scale, out.data().data());
     return out;
 }
 

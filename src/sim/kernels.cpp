@@ -31,7 +31,7 @@ inline const std::int8_t* row_ptr(const std::int8_t* base, int key, int d) {
 // Scalar fallbacks: 4-way unrolled so the accumulator chains don't serialize.
 // ---------------------------------------------------------------------------
 
-std::int32_t dot_i8_scalar(const std::int8_t* q, const std::int8_t* k, int d) {
+static std::int32_t dot_i8_scalar(const std::int8_t* q, const std::int8_t* k, int d) {
     std::int32_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
     int t = 0;
     for (; t + 4 <= d; t += 4) {
@@ -44,8 +44,8 @@ std::int32_t dot_i8_scalar(const std::int8_t* q, const std::int8_t* k, int d) {
     return a0 + a1 + a2 + a3;
 }
 
-void dot_i8_rows_scalar(const std::int8_t* q, const std::int8_t* kbase, const int* keys,
-                        int count, int d, std::int32_t* scores) {
+static void dot_i8_rows_scalar(const std::int8_t* q, const std::int8_t* kbase,
+                               const int* keys, int count, int d, std::int32_t* scores) {
     for (int i = 0; i < count; ++i) scores[i] = dot_i8_scalar(q, row_ptr(kbase, keys[i], d), d);
 }
 
@@ -62,26 +62,26 @@ static void axpy_sp_i8_scalar(std::int32_t* acc, std::uint32_t sp, const std::in
     for (; t < d; ++t) acc[t] += s * v[t];
 }
 
-void wacc_sp_i8_scalar(std::int32_t* acc, const std::uint32_t* sps, const int* keys,
-                       int count, const std::int8_t* vbase, int d) {
+static void wacc_sp_i8_scalar(std::int32_t* acc, const std::uint32_t* sps,
+                              const int* keys, int count, const std::int8_t* vbase, int d) {
     for (int i = 0; i < count; ++i) {
         if (sps[i] == 0) continue;  // zero weight contributes nothing
         axpy_sp_i8_scalar(acc, sps[i], row_ptr(vbase, keys[i], d), d);
     }
 }
 
-void normalize_probs_scalar(const ExpRaw* exps, int count, InvRaw inv,
-                            std::uint32_t* sps) {
+static void normalize_probs_scalar(const ExpRaw* exps, int count, InvRaw inv,
+                                   std::uint32_t* sps) {
     for (int i = 0; i < count; ++i) sps[i] = normalize_prob(exps[i], inv);
 }
 
-void round_shift_i32_scalar(std::int32_t* v, int count, int shift) {
+static void round_shift_i32_scalar(std::int32_t* v, int count, int shift) {
     for (int i = 0; i < count; ++i)
         v[i] = static_cast<std::int32_t>(round_shift(v[i], shift));
 }
 
-void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
-                    std::uint32_t b, int d) {
+static void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
+                           std::uint32_t b, int d) {
     constexpr int sf = Datapath::sprime_frac;
     for (int t = 0; t < d; ++t)
         out[t] = static_cast<std::int32_t>(
@@ -90,7 +90,8 @@ void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
                         sf));
 }
 
-void quantize_i8_scalar(const float* x, std::size_t n, float scale, std::int8_t* out) {
+static void quantize_i8_scalar(const float* x, std::size_t n, float scale,
+                               std::int8_t* out) {
     // Adding and subtracting 1.5 * 2^23 rounds any |v| <= 2^22 to an integer
     // in the current rounding mode — what std::nearbyint does. Clamping to
     // the integer bounds first commutes with that monotone rounding.
@@ -760,89 +761,60 @@ SALO_TILE_ISA static void wacc_stream_vnni(std::int32_t* acc, const std::uint32_
     }
 }
 
-static bool tile_isa_ok() {
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni");
-}
-static TileKernels pick_tile_kernels() {
-    if (!tile_isa_ok()) return {};
-    return {stage_k_vnni, stage_v_vnni, score_band_vnni, select_vnni, wacc_stream_vnni};
-}
+#endif  // SALO_X86_DISPATCH
 
-static DotI8Fn pick_dot() {
-    if (__builtin_cpu_supports("avx512bw")) return dot_i8_avx512;
-    if (__builtin_cpu_supports("avx2")) return dot_i8_avx2;
-    return dot_i8_scalar;
-}
-static RowDotFn pick_row_dot() {
-    if (__builtin_cpu_supports("avx512bw")) return dot_i8_rows_avx512;
-    if (__builtin_cpu_supports("avx2")) return dot_i8_rows_avx2;
-    return dot_i8_rows_scalar;
-}
-static WaccFn pick_wacc() {
-    if (__builtin_cpu_supports("avx512bw")) return wacc_sp_i8_avx512;
-    if (__builtin_cpu_supports("avx2")) return wacc_sp_i8_avx2;
-    return wacc_sp_i8_scalar;
-}
-static bool avx512_dq_ok() {
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
-}
-static PwlExpBatchFn pick_pwl_batch() {
-    return avx512_dq_ok() ? pwl_exp_batch_avx512 : nullptr;
-}
-static NormProbsFn pick_norm() {
-    return avx512_dq_ok() ? normalize_probs_avx512 : normalize_probs_scalar;
-}
-static RoundShiftFn pick_round_shift() {
-    return __builtin_cpu_supports("avx512f") ? round_shift_i32_avx512
-                                             : round_shift_i32_scalar;
-}
-static MixFn pick_mix() { return avx512_dq_ok() ? mix_i32_avx512 : mix_i32_scalar; }
-static QuantizeI8Fn pick_quantize() { return quantize_i8_levels().front().second; }
-static const char* pick_name() {
-    if (tile_isa_ok()) return "avx512vnni";
-    if (__builtin_cpu_supports("avx512bw")) return "avx512bw";
-    if (__builtin_cpu_supports("avx2")) return "avx2";
-    return "scalar";
-}
-
-const DotI8Fn dot_i8 = pick_dot();
-const RowDotFn dot_i8_rows = pick_row_dot();
-const WaccFn wacc_sp_i8 = pick_wacc();
-const PwlExpBatchFn pwl_exp_batch = pick_pwl_batch();
-const NormProbsFn normalize_probs = pick_norm();
-const RoundShiftFn round_shift_i32 = pick_round_shift();
-const MixFn mix_i32 = pick_mix();
-const QuantizeI8Fn quantize_i8 = pick_quantize();
-const TileKernels tile_kernels = pick_tile_kernels();
-const char* isa_name() { return pick_name(); }
-
-std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels() {
-    std::vector<std::pair<const char*, QuantizeI8Fn>> levels;
-    if (__builtin_cpu_supports("avx512f")) levels.emplace_back("avx512f", quantize_i8_avx512);
-    if (__builtin_cpu_supports("avx2")) levels.emplace_back("avx2", quantize_i8_avx2);
-    levels.emplace_back("scalar", quantize_i8_scalar);
-    return levels;
-}
-
-#else  // !SALO_X86_DISPATCH
-
-const DotI8Fn dot_i8 = dot_i8_scalar;
-const RowDotFn dot_i8_rows = dot_i8_rows_scalar;
-const WaccFn wacc_sp_i8 = wacc_sp_i8_scalar;
-const PwlExpBatchFn pwl_exp_batch = nullptr;
-const NormProbsFn normalize_probs = normalize_probs_scalar;
-const RoundShiftFn round_shift_i32 = round_shift_i32_scalar;
-const MixFn mix_i32 = mix_i32_scalar;
-const QuantizeI8Fn quantize_i8 = quantize_i8_scalar;
-const TileKernels tile_kernels{};
-const char* isa_name() { return "scalar"; }
-
-std::vector<std::pair<const char*, QuantizeI8Fn>> quantize_i8_levels() {
-    return {{"scalar", quantize_i8_scalar}};
-}
-
+const std::vector<KernelSet>& kernel_sets() {
+    static const std::vector<KernelSet> sets = [] {
+        std::vector<KernelSet> levels;
+#if defined(SALO_X86_DISPATCH)
+        // The row kernels need BW; the 64-bit-lane kernels F and DQ; the
+        // tile path VL and VNNI on top.
+        if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+            __builtin_cpu_supports("avx512dq")) {
+            const KernelSet avx512{.name = "avx512",
+                                   .dot_rows = dot_i8_rows_avx512,
+                                   .wacc = wacc_sp_i8_avx512,
+                                   .pwl_exp_batch = pwl_exp_batch_avx512,
+                                   .normalize_probs = normalize_probs_avx512,
+                                   .round_shift = round_shift_i32_avx512,
+                                   .mix = mix_i32_avx512,
+                                   .quantize = quantize_i8_avx512};
+            if (__builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni")) {
+                KernelSet vnni = avx512;
+                vnni.name = "avx512vnni";
+                vnni.stage_k = stage_k_vnni;
+                vnni.stage_v = stage_v_vnni;
+                vnni.score_band = score_band_vnni;
+                vnni.select = select_vnni;
+                vnni.wacc_stream = wacc_stream_vnni;
+                levels.push_back(vnni);
+            }
+            levels.push_back(avx512);
+        }
+        if (__builtin_cpu_supports("avx2"))
+            levels.push_back({.name = "avx2",
+                              .dot_rows = dot_i8_rows_avx2,
+                              .wacc = wacc_sp_i8_avx2,
+                              .normalize_probs = normalize_probs_scalar,
+                              .round_shift = round_shift_i32_scalar,
+                              .mix = mix_i32_scalar,
+                              .quantize = quantize_i8_avx2});
 #endif
+        levels.push_back({.name = "scalar",
+                          .dot_rows = dot_i8_rows_scalar,
+                          .wacc = wacc_sp_i8_scalar,
+                          .normalize_probs = normalize_probs_scalar,
+                          .round_shift = round_shift_i32_scalar,
+                          .mix = mix_i32_scalar,
+                          .quantize = quantize_i8_scalar});
+        return levels;
+    }();
+    return sets;
+}
+
+const KernelSet& dispatched() { return kernel_sets().front(); }
+
+const char* isa_name() { return dispatched().name; }
 
 }  // namespace kernels
 }  // namespace salo

@@ -12,6 +12,7 @@
 
 #include "numeric/pwl_exp.hpp"
 #include "numeric/reciprocal.hpp"
+#include "sim/kernels.hpp"
 #include "sim/parts.hpp"
 #include "tensor/matrix.hpp"
 
@@ -49,23 +50,25 @@ struct PartScratch {
 /// normalization. Sets part.query and part.weight and, when the weight is
 /// non-zero, fills scratch.sps[0, count). Returns false when every term
 /// underflowed (the part carries no mass and stage 5 is skipped).
-bool normalize_part(const PwlExp& exp_unit, const Reciprocal& recip_unit, int query,
-                    const ScoreRaw* scores, int count, ActivityStats& activity,
-                    TilePart& part, PartScratch& scratch);
+bool normalize_part(const kernels::KernelSet& ks, const PwlExp& exp_unit,
+                    const Reciprocal& recip_unit, int query, const ScoreRaw* scores,
+                    int count, ActivityStats& activity, TilePart& part,
+                    PartScratch& scratch);
 
 /// Stage-5 epilogue: counts the part's `count * d` MACs and renormalizes the
 /// Q.19 accumulator in part.out_q to Q.wsm_frac in place.
-void finish_part(int count, ActivityStats& activity, TilePart& part);
+void finish_part(const kernels::KernelSet& ks, int count, ActivityStats& activity,
+                 TilePart& part);
 
 /// Build the normalized output part for `query` from its raw scores and the
 /// key ids they belong to, into an arena-owned part (normalize_part, then
-/// stage 5 by wacc_sp_i8, then finish_part). Stage 5 accumulates sp * v
+/// stage 5 by the set's wacc, then finish_part). Stage 5 accumulates sp * v
 /// directly into part.out_q in int32 — exact, because the Q.15
 /// probabilities of a row sum to ~1.0 (bounded by 1 + the reciprocal unit's
 /// relative error), keeping |acc| < 2^23.
-void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
-                     const Matrix<std::int8_t>& v, int query, const ScoreRaw* scores,
-                     const int* key_ids, int count, ActivityStats& activity,
-                     TilePart& part, PartScratch& scratch);
+void build_part_into(const kernels::KernelSet& ks, const PwlExp& exp_unit,
+                     const Reciprocal& recip_unit, const Matrix<std::int8_t>& v, int query,
+                     const ScoreRaw* scores, const int* key_ids, int count,
+                     ActivityStats& activity, TilePart& part, PartScratch& scratch);
 
 }  // namespace salo

@@ -32,12 +32,6 @@ struct ActiveRows {
     int count = 0;
 };
 
-bool tile_kernels_set() {
-    const kernels::TileKernels& tk = kernels::tile_kernels;
-    return tk.stage_k != nullptr && tk.stage_v != nullptr && tk.score_band != nullptr &&
-           tk.select != nullptr && tk.wacc_stream != nullptr;
-}
-
 ActiveRows active_rows(const TileTask& tile) {
     ActiveRows a;
     for (int r = 0; r < tile.rows(); ++r) {
@@ -52,13 +46,14 @@ ActiveRows active_rows(const TileTask& tile) {
 
 TileExecutor::TileExecutor(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                            const Matrix<std::int8_t>& q, const Matrix<std::int8_t>& k,
-                           const Matrix<std::int8_t>& v)
-    : exp_unit_(&exp_unit), recip_unit_(&recip_unit), q_(&q), k_(&k), v_(&v) {
+                           const Matrix<std::int8_t>& v, const kernels::KernelSet& set)
+    : kernels_(&set), exp_unit_(&exp_unit), recip_unit_(&recip_unit), q_(&q), k_(&k),
+      v_(&v) {
     SALO_EXPECTS(q.cols() == k.cols() && k.rows() == v.rows() && k.cols() == v.cols());
     // A tile's active rows hold distinct queries, so a q of fewer than
     // kTilePathMinRows rows (a decode step's one row) never selects the
     // tile path; it skips the table.
-    if (!tile_kernels_set() || q.cols() % 16 != 0 || q.rows() < kTilePathMinRows) return;
+    if (!set.has_tile_path() || q.cols() % 16 != 0 || q.rows() < kTilePathMinRows) return;
     qsum_.resize(static_cast<std::size_t>(q.rows()));
     for (int i = 0; i < q.rows(); ++i) {
         std::int32_t sum = 0;
@@ -79,16 +74,11 @@ void TileExecutor::run(const TileTask& tile, PartArena& arena, ActivityStats& ac
     execute(tile, arena, activity, scratch, tile_path(tile));
 }
 
-void TileExecutor::run_rows(const TileTask& tile, PartArena& arena,
-                            ActivityStats& activity, PartScratch& scratch) const {
-    execute(tile, arena, activity, scratch, false);
-}
-
 // ---------------------------------------------------------------------------
 // Tile path staging: per segment, the stream of the active rows' keys.
 // ---------------------------------------------------------------------------
 int TileExecutor::stage_tile(const TileTask& tile, PartScratch& scratch) const {
-    const kernels::TileKernels& tk = kernels::tile_kernels;
+    const kernels::KernelSet& ks = *kernels_;
     const int d = q_->cols();
     const int nn = k_->rows();
     const ActiveRows active = active_rows(tile);
@@ -131,20 +121,21 @@ int TileExecutor::stage_tile(const TileTask& tile, PartScratch& scratch) const {
         const StagedSegment& st = scratch.segments[s];
         const int len = seg.stream_length(rows);
         const std::int64_t key0 = seg.key_base + std::int64_t{active.first} * seg.dilation;
-        tk.stage_k(kbase, nn, d, key0, seg.dilation, len, staged + st.k_offset);
-        tk.stage_v(vbase, nn, d, key0, seg.dilation, len, staged + st.v_offset);
-        tk.score_band(staged + st.k_offset, d, len, qbase, qsum_.data(), query_ids, rows,
+        ks.stage_k(kbase, nn, d, key0, seg.dilation, len, staged + st.k_offset);
+        ks.stage_v(vbase, nn, d, key0, seg.dilation, len, staged + st.v_offset);
+        ks.score_band(staged + st.k_offset, d, len, qbase, qsum_.data(), query_ids, rows,
                       seg.width(), band + st.band_offset, st.band_stride);
     }
     return active.first;
 }
 
 // ---------------------------------------------------------------------------
-// Hot path: segment-wise streaming, dispatched SIMD kernels, arena parts.
+// Hot path: segment-wise streaming, the set's SIMD kernels, arena parts.
 // ---------------------------------------------------------------------------
 void TileExecutor::execute(const TileTask& tile, PartArena& arena,
                            ActivityStats& activity, PartScratch& scratch,
                            bool tiled) const {
+    const kernels::KernelSet& ks = *kernels_;
     const int rows = tile.rows();
     const int cols = tile.cols();
     const int d = q_->cols();
@@ -171,7 +162,7 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
 
     auto emit = [&](int query, int count) {
         TilePart& part = arena.alloc(d);
-        build_part_into(*exp_unit_, *recip_unit_, *v_, query, scores, keys, count,
+        build_part_into(ks, *exp_unit_, *recip_unit_, *v_, query, scores, keys, count,
                         activity, part, scratch);
         if (part.weight == 0) arena.drop_last();
     };
@@ -202,7 +193,7 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
             for (std::size_t s = 0; s < tile.segments.size(); ++s) {
                 const TileSegment& seg = tile.segments[s];
                 StagedSegment& st = scratch.segments[s];
-                st.count = kernels::tile_kernels.select(
+                st.count = ks.select(
                     band + st.band_offset + static_cast<std::size_t>(rr) * st.band_stride + rr,
                     vrow + seg.col_begin, seg.width(), st.slot_lo - rr, st.slot_hi - rr,
                     scores + count);
@@ -213,19 +204,19 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
             activity.mac_ops += static_cast<std::int64_t>(count) * d;
             if (count > 0) {
                 TilePart& part = arena.alloc(d);
-                if (normalize_part(*exp_unit_, *recip_unit_, qi, scores, count, activity,
+                if (normalize_part(ks, *exp_unit_, *recip_unit_, qi, scores, count, activity,
                                    part, scratch)) {
                     const std::uint32_t* sps = scratch.sps.data();
                     for (std::size_t s = 0; s < tile.segments.size(); ++s) {
                         const TileSegment& seg = tile.segments[s];
                         const StagedSegment& st = scratch.segments[s];
                         if (st.count == 0) continue;
-                        kernels::tile_kernels.wacc_stream(
+                        ks.wacc_stream(
                             part.out_q.data(), sps, vrow + seg.col_begin, seg.width(), rr,
                             staged + st.v_offset, d, sp_bytes);
                         sps += st.count;
                     }
-                    finish_part(count, activity, part);
+                    finish_part(ks, count, activity, part);
                 } else {
                     arena.drop_last();
                 }
@@ -245,9 +236,8 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
                     keys[count++] = static_cast<int>(key);
                 }
             }
-            kernels::dot_i8_rows(qbase + static_cast<std::size_t>(qi) *
-                                             static_cast<std::size_t>(d),
-                                 kbase, keys, count, d, scores);
+            ks.dot_rows(qbase + static_cast<std::size_t>(qi) * static_cast<std::size_t>(d),
+                        kbase, keys, count, d, scores);
             activity.mac_ops += static_cast<std::int64_t>(count) * d;
             if (count > 0) emit(qi, count);
         }
@@ -258,10 +248,9 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
             tile.global_col_rows[static_cast<std::size_t>(r)] != 0) {
             SALO_ASSERT(qi >= 0);
             const int g = tile.global_col_key;
-            scores[0] = kernels::dot_i8(
-                qbase + static_cast<std::size_t>(qi) * static_cast<std::size_t>(d),
-                kbase + static_cast<std::size_t>(g) * static_cast<std::size_t>(d), d);
             keys[0] = g;
+            ks.dot_rows(qbase + static_cast<std::size_t>(qi) * static_cast<std::size_t>(d),
+                        kbase, keys, 1, d, scores);
             activity.mac_ops += d;
             emit(qi, 1);
         }
@@ -282,9 +271,8 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
             }
         }
         if (count > 0) {
-            kernels::dot_i8_rows(qbase + static_cast<std::size_t>(g) *
-                                             static_cast<std::size_t>(d),
-                                 kbase, keys, count, d, scores);
+            ks.dot_rows(qbase + static_cast<std::size_t>(g) * static_cast<std::size_t>(d),
+                        kbase, keys, count, d, scores);
             activity.mac_ops += static_cast<std::int64_t>(count) * d;
             emit(g, count);
         }

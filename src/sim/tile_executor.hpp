@@ -9,21 +9,22 @@
 // and must emit the same parts and activity counters (tested).
 //
 // run(tile, arena, activity, scratch) is the hot path. It executes a tile's
-// PE-array rows on one of two datapaths, chosen per tile from what the code
-// observes and never from an option:
+// PE-array rows on one of two datapaths, chosen per tile from the
+// executor's kernel set and the tile, never from an option:
 //   * The tile path, as the hardware does it (paper §4.1/§5.2): a key
 //     enters once and flows diagonally through every row. Each segment's
-//     K/V stream is staged once (kernels::TileKernels), stage 1 computes
-//     the whole rows x stream score band, and each row takes its valid
-//     scores from the band and runs stage 5 against the staged V. It runs
-//     when the host has AVX-512 VNNI (every kernels::tile_kernels field is
-//     set), d is a multiple of 16, and the tile has at least
-//     kTilePathMinRows active rows.
-//   * The row path (run_rows): each row gathers its keys and calls the
-//     row-batched dot_i8_rows and wacc_sp_i8. It runs all remaining tiles.
+//     K/V stream is staged once (the set's stage_k/stage_v), stage 1
+//     computes the whole rows x stream score band, and each row takes its
+//     valid scores from the band and runs stage 5 against the staged V. It
+//     runs when the set has the tile fields (the avx512vnni level), d is a
+//     multiple of 16, and the tile has at least kTilePathMinRows active
+//     rows.
+//   * The row path: each row gathers its keys and calls the set's
+//     row-batched dot_rows and wacc. It runs all remaining tiles.
 // The global PE row and column always take the row path's kernels, and
 // stages 2-4 are shared (normalize_part), so both paths emit the same
-// parts, in the same order, bit for bit (tested).
+// parts, in the same order, bit for bit (tested: an executor on the avx512
+// set runs every tile on the row path with the same row kernels).
 // Thread-safe: concurrent calls on one executor are fine as long as each
 // worker lane owns its arena and scratch.
 #pragma once
@@ -34,6 +35,7 @@
 #include "numeric/pwl_exp.hpp"
 #include "numeric/reciprocal.hpp"
 #include "scheduler/tile.hpp"
+#include "sim/kernels.hpp"
 #include "sim/part_builder.hpp"
 #include "sim/parts.hpp"
 #include "tensor/matrix.hpp"
@@ -43,9 +45,12 @@ namespace salo {
 class TileExecutor {
 public:
     /// q/k/v hold raw Q3.4 int8 values for one attention head (n x d).
+    /// `set` is the ISA level every tile runs on; tests pass each of
+    /// kernels::kernel_sets().
     TileExecutor(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                  const Matrix<std::int8_t>& q, const Matrix<std::int8_t>& k,
-                 const Matrix<std::int8_t>& v);
+                 const Matrix<std::int8_t>& v,
+                 const kernels::KernelSet& set = kernels::dispatched());
 
     /// Hot path: execute one tile, appending its output parts (per PE row:
     /// the window part, then the global-column part; then the global-row
@@ -54,10 +59,6 @@ public:
     /// tile path when tile_path(tile), the row path otherwise.
     void run(const TileTask& tile, PartArena& arena, ActivityStats& activity,
              PartScratch& scratch) const;
-
-    /// The row path on any tile: identical results to run().
-    void run_rows(const TileTask& tile, PartArena& arena, ActivityStats& activity,
-                  PartScratch& scratch) const;
 
     /// Whether run() executes this tile on the tile path.
     bool tile_path(const TileTask& tile) const;
@@ -76,6 +77,7 @@ private:
     /// compute its score band; returns the first active row.
     int stage_tile(const TileTask& tile, PartScratch& scratch) const;
 
+    const kernels::KernelSet* kernels_;
     const PwlExp* exp_unit_;
     const Reciprocal* recip_unit_;
     const Matrix<std::int8_t>* q_;

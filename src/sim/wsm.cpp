@@ -1,7 +1,6 @@
 #include "sim/wsm.hpp"
 
 #include "common/assert.hpp"
-#include "sim/kernels.hpp"
 
 namespace salo {
 
@@ -21,7 +20,7 @@ std::uint32_t normalize_weight(SumRaw w, InvRaw inv) {
 }  // namespace
 
 WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit)
-    : recip_unit_(&recip_unit), n_(n), d_(d),
+    : recip_unit_(&recip_unit), mix_(kernels::dispatched().mix), n_(n), d_(d),
       weight_(static_cast<std::size_t>(n), 0),
       out_q_(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0),
       initialized_(static_cast<std::size_t>(n), 0) {
@@ -48,7 +47,7 @@ void WeightedSumModule::merge(const TilePart& part) {
     const std::uint32_t a = normalize_weight(w_prev, inv);  // Q.15
     const std::uint32_t b = normalize_weight(w_new, inv);   // Q.15
     // out[t] = round_shift(a*out[t] + b*part[t], sprime_frac), vectorized.
-    kernels::mix_i32(out, part.out_q.data(), a, b, d_);
+    mix_(out, part.out_q.data(), a, b, d_);
     weight_[qi] = w_total;
 }
 

@@ -17,6 +17,7 @@
 
 #include "numeric/fixed.hpp"
 #include "numeric/reciprocal.hpp"
+#include "sim/kernels.hpp"
 #include "sim/parts.hpp"
 #include "tensor/matrix.hpp"
 
@@ -45,6 +46,7 @@ public:
 
 private:
     const Reciprocal* recip_unit_;
+    kernels::MixFn mix_;  ///< the dispatched level's, resolved once
     int n_;
     int d_;
     std::vector<SumRaw> weight_;                ///< running W per query

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "numeric/quantize.hpp"
 #include "scheduler/scheduler.hpp"
 #include "sim/cycle_accurate.hpp"
+#include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
 #include "workload/workloads.hpp"
 
@@ -38,16 +40,17 @@ struct Fixture {
 };
 
 // -------------------------------------------------------------------------
-// The bit-level oracle. The production datapath (TileExecutor::run, on the
-// tile path or the row path as the host selects) must emit the parts the
-// cycle-accurate array emits — query, weight and out_q, in order — with
-// the same activity counters, on every tile of each plan. pe_cycles is
-// accounted on the production side as the engine does. The plans cover
-// every segment layout the scheduler emits (single, dilated, column-packed
-// multi-segment), many globals, square and non-square arrays, d = 8, 16,
-// 64 and 128, a layer whose every exponential underflows, and decode
-// micro-plans (one query row against the compact int8 K/V layout). On an
-// AVX-512 VNNI host the multi-row tiles run on the tile path.
+// The bit-level oracle. The production datapath (TileExecutor::run) must
+// emit the parts the cycle-accurate array emits — query, weight and out_q,
+// in order — with the same activity counters, on every tile of each plan,
+// at every kernel level the host runs (kernels::kernel_sets(); on the
+// avx512vnni level the multi-row tiles run on the tile path, elsewhere on
+// the row path). pe_cycles is accounted on the production side as the
+// engine does. The plans cover every segment layout the scheduler emits
+// (single, dilated, column-packed multi-segment), many globals, square and
+// non-square arrays, d = 8, 16, 64 and 128, a layer whose every
+// exponential underflows, and decode micro-plans (one query row against
+// the compact int8 K/V layout).
 // -------------------------------------------------------------------------
 
 ::testing::AssertionResult same_parts(const std::vector<TilePart>& a, const PartArena& b) {
@@ -70,27 +73,33 @@ void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std:
     const PwlExp exp_unit;
     const Reciprocal recip_unit;
     const CycleConfig ccfg;
-    const TileExecutor exec(exp_unit, recip_unit, q, k, v);
     const CycleAccurateArray array(plan.geometry, ccfg, exp_unit, recip_unit, q, k, v);
+    std::vector<TileExecutor> execs;
+    for (const kernels::KernelSet& ks : kernels::kernel_sets())
+        execs.emplace_back(exp_unit, recip_unit, q, k, v, ks);
     std::vector<TilePart> parts;
     PartArena arena;
     PartScratch scratch;
     for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
         const TileTask& tile = plan.tiles[t];
-        ActivityStats a, b;
+        ActivityStats a;
         parts.clear();
-        arena.reset();
         array.run(tile, parts, a);
-        exec.run(tile, arena, b, scratch);
-        b.pe_cycles += static_cast<std::int64_t>(tile.rows()) * tile.cols() *
-                       tile_cycles(tile, plan.head_dim, ccfg).total();
-        const std::string where = what + ", tile " + std::to_string(t);
-        ASSERT_TRUE(same_parts(parts, arena)) << where;
-        EXPECT_EQ(a.mac_ops, b.mac_ops) << where;
-        EXPECT_EQ(a.exp_ops, b.exp_ops) << where;
-        EXPECT_EQ(a.valid_slots, b.valid_slots) << where;
-        EXPECT_EQ(a.array_slots, b.array_slots) << where;
-        EXPECT_EQ(a.pe_cycles, b.pe_cycles) << where;
+        for (std::size_t l = 0; l < execs.size(); ++l) {
+            ActivityStats b;
+            arena.reset();
+            execs[l].run(tile, arena, b, scratch);
+            b.pe_cycles += static_cast<std::int64_t>(tile.rows()) * tile.cols() *
+                           tile_cycles(tile, plan.head_dim, ccfg).total();
+            const std::string where = std::string(kernels::kernel_sets()[l].name) + ": " +
+                                      what + ", tile " + std::to_string(t);
+            ASSERT_TRUE(same_parts(parts, arena)) << where;
+            EXPECT_EQ(a.mac_ops, b.mac_ops) << where;
+            EXPECT_EQ(a.exp_ops, b.exp_ops) << where;
+            EXPECT_EQ(a.valid_slots, b.valid_slots) << where;
+            EXPECT_EQ(a.array_slots, b.array_slots) << where;
+            EXPECT_EQ(a.pe_cycles, b.pe_cycles) << where;
+        }
     }
 }
 
@@ -103,6 +112,11 @@ struct DatapathShape {
 };
 
 TEST(CycleAccurate, ProductionDatapathBitIdenticalToArray) {
+    std::string levels;
+    for (const kernels::KernelSet& ks : kernels::kernel_sets())
+        levels += std::string(levels.empty() ? "" : ", ") + ks.name +
+                  (ks.has_tile_path() ? " (tile path)" : "");
+    std::printf("levels run: %s\n", levels.c_str());
     const std::vector<DatapathShape> shapes = {
         {"sliding window d16, 8x8", sliding_window(64, 8), 16, 8, 8},
         {"longformer d8, 8x8", longformer(64, 8, 1), 8, 8, 8},

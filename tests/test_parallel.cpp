@@ -1,6 +1,6 @@
 // Parallel execution: determinism across thread counts (one head per lane),
-// the tile path against the row path, the dispatched kernels, and the thread
-// pool itself.
+// the tile path against the row path, every kernel level against scalar,
+// and the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,24 +139,16 @@ void expect_same_activity(const ActivityStats& a, const ActivityStats& b,
 }
 
 // -------------------------------------------------------------------------
-// Dispatched kernels vs scalar reference.
+// Every kernel level this host runs vs the scalar level, kernel_sets().back().
 // -------------------------------------------------------------------------
 
-TEST(Kernels, DispatchedDotMatchesScalar) {
-    Rng rng(1);
-    for (int d : {1, 3, 8, 16, 31, 64, 100, 256}) {
-        std::vector<std::int8_t> q(static_cast<std::size_t>(d)), k(q.size());
-        for (auto& x : q) x = static_cast<std::int8_t>(rng.uniform_index(256) - 128);
-        for (auto& x : k) x = static_cast<std::int8_t>(rng.uniform_index(256) - 128);
-        EXPECT_EQ(kernels::dot_i8(q.data(), k.data(), d),
-                  kernels::dot_i8_scalar(q.data(), k.data(), d))
-            << "d=" << d;
-    }
-}
+const kernels::KernelSet& scalar_set() { return kernels::kernel_sets().back(); }
 
-TEST(Kernels, DispatchedRowDotAndWaccMatchScalar) {
+TEST(Kernels, RowDotAndWaccMatchScalarAtEveryLevel) {
+    // 32 is decode's d; 64 and 128 are the register-cached limits of the
+    // AVX2 and AVX-512 wacc, and 136 is past both.
     Rng rng(2);
-    for (int d : {8, 16, 64, 96}) {
+    for (int d : {1, 3, 8, 16, 20, 31, 32, 64, 96, 100, 128, 136, 256}) {
         const int n = 50, count = 37;
         std::vector<std::int8_t> q(static_cast<std::size_t>(d));
         std::vector<std::int8_t> base(static_cast<std::size_t>(n) * d);
@@ -177,18 +169,23 @@ TEST(Kernels, DispatchedRowDotAndWaccMatchScalar) {
             keys[static_cast<std::size_t>(1 + i)] = i % 2;
             sps[static_cast<std::size_t>(1 + i)] = wide[i % 3];
         }
-        std::vector<std::int32_t> s1(count), s2(count);
-        kernels::dot_i8_rows(q.data(), base.data(), keys.data(), count, d, s1.data());
-        kernels::dot_i8_rows_scalar(q.data(), base.data(), keys.data(), count, d,
-                                    s2.data());
-        EXPECT_EQ(s1, s2) << "dot rows d=" << d;
-
-        std::vector<std::int32_t> a1(static_cast<std::size_t>(d), 7);
-        std::vector<std::int32_t> a2(a1);
-        kernels::wacc_sp_i8(a1.data(), sps.data(), keys.data(), count, base.data(), d);
-        kernels::wacc_sp_i8_scalar(a2.data(), sps.data(), keys.data(), count,
-                                   base.data(), d);
-        EXPECT_EQ(a1, a2) << "wacc d=" << d;
+        std::vector<std::int32_t> want_scores(count);
+        scalar_set().dot_rows(q.data(), base.data(), keys.data(), count, d,
+                              want_scores.data());
+        std::vector<std::int32_t> want_acc(static_cast<std::size_t>(d), 7);
+        scalar_set().wacc(want_acc.data(), sps.data(), keys.data(), count, base.data(), d);
+        for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+            // count 1 is the global PE column's call.
+            for (const int c : {count, 1}) {
+                std::vector<std::int32_t> scores(count, -1);
+                ks.dot_rows(q.data(), base.data(), keys.data(), c, d, scores.data());
+                EXPECT_TRUE(std::equal(scores.begin(), scores.begin() + c, want_scores.begin()))
+                    << ks.name << ": dot_rows d=" << d << " count=" << c;
+            }
+            std::vector<std::int32_t> acc(static_cast<std::size_t>(d), 7);
+            ks.wacc(acc.data(), sps.data(), keys.data(), count, base.data(), d);
+            EXPECT_EQ(acc, want_acc) << ks.name << ": wacc d=" << d;
+        }
     }
 }
 
@@ -266,61 +263,77 @@ TileTask random_tile(Rng& rng, int active, int n) {
 }
 
 TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
-    if (kernels::tile_kernels.score_band == nullptr)
-        GTEST_SKIP() << "host lacks AVX-512 VNNI + VL + BW: the tile path cannot run";
+    // The row path comes from an executor on the first level without the
+    // tile fields: avx512, with the same row kernels as avx512vnni.
+    const auto& sets = kernels::kernel_sets();
+    const auto row_set =
+        std::find_if(sets.begin(), sets.end(),
+                     [](const kernels::KernelSet& ks) { return !ks.has_tile_path(); });
+    ASSERT_NE(row_set, sets.end());
+    if (!sets.front().has_tile_path())
+        GTEST_SKIP() << "host lacks AVX-512 F+BW+DQ+VL+VNNI: the tile path cannot run";
     constexpr int n = 300;
     constexpr int R = TileExecutor::kTilePathMinRows;
     const PwlExp exp_unit;
     const Reciprocal recip_unit;
-    Rng rng(17);
-    for (const int d : {16, 32, 64, 128}) {
-        auto random_i8 = [&](int lo, int hi) {
-            Matrix<std::int8_t> m(n, d);
-            for (auto& x : m.data())
-                x = static_cast<std::int8_t>(lo + static_cast<int>(rng.uniform_index(hi - lo + 1)));
-            return m;
-        };
-        const Matrix<std::int8_t> q = random_i8(-40, 40);
-        const Matrix<std::int8_t> k = random_i8(-40, 40);
-        Matrix<std::int8_t> v = random_i8(-128, 127);
-        for (int t = 0; t < d; ++t) {
-            v(3, t) = -128;
-            v(4, t) = 127;
-        }
-        const TileExecutor exec(exp_unit, recip_unit, q, k, v);
-        PartArena tiled, rows;
-        PartScratch tiled_scratch, rows_scratch;
-        for (const int active : {1, R, 32}) {
-            for (int trial = 0; trial < 40; ++trial) {
-                const TileTask tile = random_tile(rng, active, n);
-                ASSERT_EQ(exec.tile_path(tile), active >= R) << "d=" << d << " rows=" << active;
-                ActivityStats a, b;
-                tiled.reset();
-                rows.reset();
-                exec.run(tile, tiled, a, tiled_scratch);
-                exec.run_rows(tile, rows, b, rows_scratch);
-                const std::string what = "d=" + std::to_string(d) +
-                                         " rows=" + std::to_string(active) + " trial " +
-                                         std::to_string(trial);
-                ASSERT_TRUE(same_parts(tiled, rows)) << what;
-                expect_same_activity(a, b, what);
+    for (const kernels::KernelSet& ks : sets) {
+        if (!ks.has_tile_path()) continue;
+        Rng rng(17);
+        for (const int d : {16, 32, 64, 128}) {
+            auto random_i8 = [&](int lo, int hi) {
+                Matrix<std::int8_t> m(n, d);
+                for (auto& x : m.data())
+                    x = static_cast<std::int8_t>(
+                        lo + static_cast<int>(rng.uniform_index(hi - lo + 1)));
+                return m;
+            };
+            const Matrix<std::int8_t> q = random_i8(-40, 40);
+            const Matrix<std::int8_t> k = random_i8(-40, 40);
+            Matrix<std::int8_t> v = random_i8(-128, 127);
+            for (int t = 0; t < d; ++t) {
+                v(3, t) = -128;
+                v(4, t) = 127;
             }
+            const TileExecutor exec(exp_unit, recip_unit, q, k, v, ks);
+            const TileExecutor row_exec(exp_unit, recip_unit, q, k, v, *row_set);
+            PartArena tiled, rows;
+            PartScratch tiled_scratch, rows_scratch;
+            for (const int active : {1, R, 32}) {
+                for (int trial = 0; trial < 40; ++trial) {
+                    const TileTask tile = random_tile(rng, active, n);
+                    const std::string what = std::string(ks.name) + " vs " + row_set->name +
+                                             ": d=" + std::to_string(d) +
+                                             " rows=" + std::to_string(active) + " trial " +
+                                             std::to_string(trial);
+                    ASSERT_EQ(exec.tile_path(tile), active >= R) << what;
+                    ASSERT_FALSE(row_exec.tile_path(tile)) << what;
+                    ActivityStats a, b;
+                    tiled.reset();
+                    rows.reset();
+                    exec.run(tile, tiled, a, tiled_scratch);
+                    row_exec.run(tile, rows, b, rows_scratch);
+                    ASSERT_TRUE(same_parts(tiled, rows)) << what;
+                    expect_same_activity(a, b, what);
+                }
+            }
+            // A valid slot whose key lies outside [0, n) trips the same
+            // contract check on both paths.
+            TileTask bad = random_tile(rng, 32, n);
+            bad.segments.resize(1);
+            bad.segments[0].col_begin = 0;
+            bad.segments[0].col_end = bad.cols();
+            bad.segments[0].dilation = 1;
+            bad.segments[0].key_base = n - 1;
+            bad.valid[1] = 1;  // row 0, column 1: key n
+            bad.global_row_query = -1;
+            bad.global_col_key = -1;
+            tiled.reset();
+            ActivityStats ignored;
+            EXPECT_THROW(exec.run(bad, tiled, ignored, tiled_scratch), ContractViolation)
+                << ks.name;
+            EXPECT_THROW(row_exec.run(bad, tiled, ignored, rows_scratch), ContractViolation)
+                << row_set->name;
         }
-        // A valid slot whose key lies outside [0, n) trips the same contract
-        // check on both paths.
-        TileTask bad = random_tile(rng, 32, n);
-        bad.segments.resize(1);
-        bad.segments[0].col_begin = 0;
-        bad.segments[0].col_end = bad.cols();
-        bad.segments[0].dilation = 1;
-        bad.segments[0].key_base = n - 1;
-        bad.valid[1] = 1;  // row 0, column 1: key n
-        bad.global_row_query = -1;
-        bad.global_col_key = -1;
-        tiled.reset();
-        ActivityStats ignored;
-        EXPECT_THROW(exec.run(bad, tiled, ignored, tiled_scratch), ContractViolation);
-        EXPECT_THROW(exec.run_rows(bad, tiled, ignored, rows_scratch), ContractViolation);
     }
 }
 
@@ -333,44 +346,56 @@ TEST(Kernels, BatchedPwlExpMatchesScalarUnit) {
                                 std::numeric_limits<ScoreRaw>::max(), 0, -1, 1,
                                 -255, 255, 4096};
     for (int i = -3000; i <= 3000; i += 7) xs.push_back(i);
-    std::vector<ExpRaw> batch(xs.size());
-    if (kernels::pwl_exp_batch != nullptr) {
-        const kernels::PwlExpParams params{unit.slope_data(), unit.icept_data(),
-                                           unit.config().lut_frac, unit.config().y_min,
-                                           unit.config().y_max};
-        const int done = kernels::pwl_exp_batch(params, xs.data(), batch.data(),
-                                                static_cast<int>(xs.size()));
-        ASSERT_GT(done, 0);
+    const kernels::PwlExpParams params{unit.slope_data(), unit.icept_data(),
+                                       unit.config().lut_frac, unit.config().y_min,
+                                       unit.config().y_max};
+    int levels = 0;
+    for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+        if (ks.pwl_exp_batch == nullptr) continue;
+        ++levels;
+        std::vector<ExpRaw> batch(xs.size());
+        const int done = ks.pwl_exp_batch(params, xs.data(), batch.data(),
+                                          static_cast<int>(xs.size()));
+        ASSERT_GT(done, 0) << ks.name;
         for (int i = 0; i < done; ++i)
             ASSERT_EQ(batch[static_cast<std::size_t>(i)], unit.exp_raw(xs[static_cast<std::size_t>(i)]))
-                << "x=" << xs[static_cast<std::size_t>(i)];
-    } else {
-        GTEST_SKIP() << "no SIMD batch kernel on this host";
+                << ks.name << ": x=" << xs[static_cast<std::size_t>(i)];
     }
+    if (levels == 0) GTEST_SKIP() << "no level on this host has a batched PWL kernel";
 }
 
 TEST(Kernels, RoundShiftAndMixMatchScalar) {
     Rng rng(3);
-    std::vector<std::int32_t> v1(100), v2;
-    for (auto& x : v1) x = static_cast<std::int32_t>(rng.uniform_index(1 << 24)) - (1 << 23);
-    v2 = v1;
-    kernels::round_shift_i32(v1.data(), static_cast<int>(v1.size()), 3);
-    kernels::round_shift_i32_scalar(v2.data(), static_cast<int>(v2.size()), 3);
-    EXPECT_EQ(v1, v2);
-
-    std::vector<std::int32_t> o1(64), in(64);
-    for (auto& x : o1) x = static_cast<std::int32_t>(rng.uniform_index(1 << 20)) - (1 << 19);
-    for (auto& x : in) x = static_cast<std::int32_t>(rng.uniform_index(1 << 20)) - (1 << 19);
-    std::vector<std::int32_t> o2 = o1;
-    kernels::mix_i32(o1.data(), in.data(), 20000, 12768, 64);
-    kernels::mix_i32_scalar(o2.data(), in.data(), 20000, 12768, 64);
-    EXPECT_EQ(o1, o2);
+    for (const int count : {7, 16, 100}) {
+        std::vector<std::int32_t> v(static_cast<std::size_t>(count));
+        for (auto& x : v) x = static_cast<std::int32_t>(rng.uniform_index(1 << 24)) - (1 << 23);
+        std::vector<std::int32_t> want = v;
+        scalar_set().round_shift(want.data(), count, 3);
+        for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+            std::vector<std::int32_t> got = v;
+            ks.round_shift(got.data(), count, 3);
+            EXPECT_EQ(got, want) << ks.name << ": round_shift count=" << count;
+        }
+    }
+    // d = 20 leaves a 4-element tail after the 8-wide lanes.
+    for (const int d : {8, 20, 64}) {
+        std::vector<std::int32_t> out(static_cast<std::size_t>(d)), in(out.size());
+        for (auto& x : out) x = static_cast<std::int32_t>(rng.uniform_index(1 << 20)) - (1 << 19);
+        for (auto& x : in) x = static_cast<std::int32_t>(rng.uniform_index(1 << 20)) - (1 << 19);
+        std::vector<std::int32_t> want = out;
+        scalar_set().mix(want.data(), in.data(), 20000, 12768, d);
+        for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+            std::vector<std::int32_t> got = out;
+            ks.mix(got.data(), in.data(), 20000, 12768, d);
+            EXPECT_EQ(got, want) << ks.name << ": mix d=" << d;
+        }
+    }
 }
 
 // -------------------------------------------------------------------------
-// The Q3.4 input quantizer: every ISA level this host runs (the dispatched
-// one is the widest) against InputFx::from_float of the float-rounded
-// product — the scalar conversion the kernel replaces.
+// The Q3.4 input quantizer: every ISA level this host runs against
+// InputFx::from_float of the float-rounded product — the scalar conversion
+// the kernel replaces.
 // -------------------------------------------------------------------------
 
 float float_from_bits(std::uint32_t bits) {
@@ -392,14 +417,14 @@ std::string hex_bits(float f) {
     std::vector<std::int8_t> want(xs.size()), got(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i)
         want[i] = InputFx::from_float(xs[i] * scale).raw();
-    for (const auto& [name, fn] : kernels::quantize_i8_levels()) {
+    for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
         std::fill(got.begin(), got.end(), std::int8_t{0x55});
-        fn(xs.data(), xs.size(), scale, got.data());
+        ks.quantize(xs.data(), xs.size(), scale, got.data());
         if (got == want) continue;
         for (std::size_t i = 0; i < xs.size(); ++i)
             if (got[i] != want[i])
                 return ::testing::AssertionFailure()
-                       << name << ": x bits " << hex_bits(xs[i]) << " (" << xs[i]
+                       << ks.name << ": x bits " << hex_bits(xs[i]) << " (" << xs[i]
                        << ") scale " << scale << " -> "
                        << static_cast<int>(got[i]) << ", from_float "
                        << static_cast<int>(want[i]);
@@ -407,12 +432,30 @@ std::string hex_bits(float f) {
     return ::testing::AssertionSuccess();
 }
 
-TEST(Kernels, QuantizerDispatchesToWidestLevel) {
-    const auto levels = kernels::quantize_i8_levels();
-    ASSERT_FALSE(levels.empty());
-    EXPECT_EQ(levels.front().second, kernels::quantize_i8);
-    EXPECT_STREQ(levels.back().first, "scalar");
-    EXPECT_EQ(levels.back().second, kernels::quantize_i8_scalar);
+TEST(Kernels, LevelsWidestFirstScalarLast) {
+    const auto& sets = kernels::kernel_sets();
+    const std::vector<std::string> order = {"avx512vnni", "avx512", "avx2", "scalar"};
+    ASSERT_FALSE(sets.empty());
+    std::size_t rank = 0;
+    for (const kernels::KernelSet& ks : sets) {
+        const auto it = std::find(order.begin() + static_cast<std::ptrdiff_t>(rank),
+                                  order.end(), ks.name);
+        ASSERT_NE(it, order.end()) << ks.name << ": unknown, repeated or out of order";
+        rank = static_cast<std::size_t>(it - order.begin()) + 1;
+        // The tile fields come all together, on avx512vnni only.
+        const bool tile = ks.name == std::string("avx512vnni");
+        EXPECT_EQ(ks.stage_k != nullptr, tile) << ks.name;
+        EXPECT_EQ(ks.stage_v != nullptr, tile) << ks.name;
+        EXPECT_EQ(ks.score_band != nullptr, tile) << ks.name;
+        EXPECT_EQ(ks.select != nullptr, tile) << ks.name;
+        EXPECT_EQ(ks.wacc_stream != nullptr, tile) << ks.name;
+        EXPECT_TRUE(ks.dot_rows && ks.wacc && ks.normalize_probs && ks.round_shift &&
+                    ks.mix && ks.quantize)
+            << ks.name;
+    }
+    EXPECT_STREQ(sets.back().name, "scalar");
+    EXPECT_EQ(&kernels::dispatched(), &sets.front());
+    EXPECT_STREQ(kernels::isa_name(), sets.front().name);
 }
 
 TEST(Kernels, QuantizerExhaustiveOverTheRoundingRange) {
@@ -466,7 +509,7 @@ TEST(Kernels, QuantizerRoundsEveryTieToEven) {
     for (int k = -140; k < 140; ++k) ties.push_back((static_cast<float>(k) + 0.5f) / 16.0f);
     ASSERT_TRUE(quantizer_matches_from_float(ties, 1.0f));
     std::vector<std::int8_t> q(ties.size());
-    kernels::quantize_i8(ties.data(), ties.size(), 1.0f, q.data());
+    kernels::dispatched().quantize(ties.data(), ties.size(), 1.0f, q.data());
     for (std::size_t i = 0; i < ties.size(); ++i) {
         const int k = static_cast<int>(i) - 140;
         const int even = k % 2 == 0 ? k : k + 1;  // (k + 0.5) -> the even neighbour
