@@ -19,7 +19,7 @@
 namespace salo {
 
 class FaultInjector;  // common/fault_injector.hpp (test/robustness hook)
-class PlanCache;      // core/plan_cache.hpp (optional shared compile tier)
+class PlanCache;      // core/plan_cache.hpp
 
 enum class Fidelity {
     kGolden,
@@ -60,8 +60,9 @@ struct SaloConfig {
     /// values <= 0 mean "auto" (hardware concurrency).
     int num_threads = default_num_threads();
 
-    /// Capacity of the engine's internal CompiledPlan LRU cache (distinct
-    /// pattern/geometry/head-dim combinations kept hot). Must be >= 1.
+    /// Capacity of the engine's CompiledPlan LRU cache (distinct
+    /// pattern/geometry/head-dim combinations kept hot), and of a serving
+    /// tier's one cache. Must be >= 1.
     int plan_cache_capacity = 64;
 
     /// Deterministic fault/stall injection consulted at every tile boundary
@@ -70,11 +71,10 @@ struct SaloConfig {
     /// AttentionRequest overrides this one for that request.
     std::shared_ptr<const FaultInjector> fault_injector;
 
-    /// Optional shared read-mostly plan store: when set, the engine's local
-    /// PlanCache resolves its misses through this store instead of running
-    /// the scheduler itself, so engines sharing one store compile each
-    /// distinct shape exactly once tier-wide (core/plan_cache.hpp; wired by
-    /// ShardedSessionOptions::shared_plan_store). Null = self-contained.
+    /// The engine's plan cache. Null (the default): the engine builds its
+    /// own of plan_cache_capacity. A serving tier (core/tier.hpp) sets one
+    /// cache here for every shard, so the tier compiles each shape and
+    /// derives each decode step once.
     std::shared_ptr<PlanCache> shared_plan_store;
 
     /// Reject nonsensical values (zero geometry, non-positive bandwidth,

@@ -25,7 +25,7 @@ HybridPattern prefix_pattern(const HybridPattern& full, int length) {
 
 DecodeSession::DecodeSession(const SaloConfig& config, DecodeSessionOptions options)
     : ServingTier(config, options.num_shards, options.shard_fault_injectors,
-                  options.shared_plan_store, options.health, /*steps=*/true),
+                  options.health, /*steps=*/true),
       admission_(options.admission),
       ready_(shards_.size()) {
     for (int s = 0; s < num_shards(); ++s)

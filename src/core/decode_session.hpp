@@ -81,7 +81,7 @@ struct StepRequest {
 };
 
 struct DecodeSessionOptions {
-    /// Independent engine shards (own pool + PlanCache each). Streams are
+    /// Engine shards (own pool each, one tier-wide PlanCache). Streams are
     /// pinned to a shard at open_stream() and never migrate.
     int num_shards = 1;
     /// Admission policy over queued steps (cost unit = heads).
@@ -92,9 +92,6 @@ struct DecodeSessionOptions {
     /// (missing/null entries leave that shard clean). Overridden per step
     /// by StepRequest::fault_injector.
     std::vector<std::shared_ptr<const FaultInjector>> shard_fault_injectors;
-    /// Share one read-mostly PlanCache tier across shards (full plans and
-    /// step micro-plans both compile/derive once tier-wide).
-    bool shared_plan_store = false;
 };
 
 class DecodeSession : public ServingTier {

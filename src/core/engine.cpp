@@ -31,10 +31,11 @@ SaloEngine::SaloEngine() : SaloEngine(SaloConfig{}) {}
 
 SaloEngine::SaloEngine(const SaloConfig& config)
     : config_(config), exp_unit_(config.exp_config), recip_unit_(config.recip_config),
-      plan_cache_(static_cast<std::size_t>(std::max(1, config.plan_cache_capacity))) {
+      plan_cache_(config.shared_plan_store
+                      ? config.shared_plan_store
+                      : std::make_shared<PlanCache>(static_cast<std::size_t>(
+                            std::max(1, config.plan_cache_capacity)))) {
     config_.validate();
-    if (config_.shared_plan_store)
-        plan_cache_.attach_shared_store(config_.shared_plan_store);
 }
 
 ThreadPool& SaloEngine::pool() const {
@@ -45,10 +46,10 @@ ThreadPool& SaloEngine::pool() const {
 }
 
 CompiledPlanPtr SaloEngine::compile(const HybridPattern& pattern, int head_dim) const {
-    return plan_cache_.get_or_compile(pattern, head_dim, config_);
+    return plan_cache_->get_or_compile(pattern, head_dim, config_);
 }
 
-PlanCacheStats SaloEngine::plan_cache_stats() const { return plan_cache_.stats(); }
+PlanCacheStats SaloEngine::plan_cache_stats() const { return plan_cache_->stats(); }
 
 SaloEngine::RunControl SaloEngine::run_control(const RunOptions& options) const {
     RunControl ctl;
@@ -187,7 +188,7 @@ SimStats SaloEngine::run_heads(int heads, int thread_budget, Tensor3<float>& out
 
 CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
                                          int head_dim) const {
-    return plan_cache_.get_or_derive_step(pattern, head_dim, config_);
+    return plan_cache_->get_or_derive_step(pattern, head_dim, config_);
 }
 
 template <typename T>

@@ -12,8 +12,9 @@
 //   engine.run(plan, q, k, v, scale[, options]) -> LayerResult   // many times
 //   engine.run_step(micro, q_row, k, v, scale)  -> StepResult    // one decode step
 //
-// compile() goes through the engine's internal PlanCache, so repeated shapes
-// never re-run the scheduler. For request-level serving (many in-flight
+// compile() goes through the engine's PlanCache (its own, or the one a
+// serving tier gives every shard), so repeated shapes never re-run the
+// scheduler. For request-level serving (many in-flight
 // layers sharing the engines) use ShardedSession / DecodeSession
 // (core/shard_router.hpp, core/decode_session.hpp).
 //
@@ -176,8 +177,9 @@ public:
                         const Tensor3<T>& k, const Tensor3<T>& v, float scale,
                         const RunOptions& options = {}) const;
 
-    /// Cumulative statistics of the internal PlanCache serving compile()
-    /// and compile_step().
+    /// Cumulative statistics of the PlanCache serving compile() and
+    /// compile_step(). On a serving tier that is the tier's one cache, so
+    /// every shard engine reports the same counters.
     PlanCacheStats plan_cache_stats() const;
 
     /// Float oracle for the same computation (no quantization, no hardware).
@@ -246,7 +248,7 @@ private:
     SaloConfig config_;
     PwlExp exp_unit_;
     Reciprocal recip_unit_;
-    mutable PlanCache plan_cache_;
+    std::shared_ptr<PlanCache> plan_cache_;  ///< own, or config.shared_plan_store
     mutable std::once_flag pool_once_;
     mutable std::unique_ptr<ThreadPool> pool_;
 };

@@ -14,11 +14,6 @@ PlanCache::PlanCache(std::size_t capacity, PlanCompileFn compile_fn)
     }
 }
 
-void PlanCache::attach_shared_store(std::shared_ptr<PlanCache> store) {
-    std::lock_guard<std::mutex> lock(m_);
-    shared_ = std::move(store);
-}
-
 bool PlanCache::matches(const CompiledPlan& cached, const HybridPattern& pattern,
                         int head_dim, const SaloConfig& config,
                         std::optional<int> step_position) const {
@@ -30,36 +25,53 @@ bool PlanCache::matches(const CompiledPlan& cached, const HybridPattern& pattern
 
 CompiledPlanPtr PlanCache::get_or_compile(const HybridPattern& pattern, int head_dim,
                                           const SaloConfig& config) {
-    const std::uint64_t key =
+    return resolve(plan_fingerprint(pattern, head_dim, config.geometry, config.schedule_options),
+                   pattern, head_dim, config, std::nullopt);
+}
+
+CompiledPlanPtr PlanCache::get_or_derive_step(const HybridPattern& pattern, int head_dim,
+                                              const SaloConfig& config) {
+    SALO_EXPECTS(decode_compatible(pattern));
+    const int position = pattern.n() - 1;
+    const std::uint64_t full_key =
         plan_fingerprint(pattern, head_dim, config.geometry, config.schedule_options);
+    return resolve(step_plan_fingerprint(full_key, position), pattern, head_dim, config,
+                   position);
+}
+
+CompiledPlanPtr PlanCache::resolve(std::uint64_t key, const HybridPattern& pattern,
+                                   int head_dim, const SaloConfig& config,
+                                   std::optional<int> step_position) {
     std::unique_lock<std::mutex> lock(m_);
     for (;;) {
         const auto it = by_key_.find(key);
-        if (it != by_key_.end() && matches(**it->second, pattern, head_dim, config)) {
+        if (it != by_key_.end() &&
+            matches(**it->second, pattern, head_dim, config, step_position)) {
             ++hits_;
             lru_.splice(lru_.begin(), lru_, it->second);  // move to MRU
             return *it->second;
         }
-        if (inflight_.count(key) == 0) break;  // become the compiling leader
-        // Another thread is compiling this key right now: wait for it and
+        if (inflight_.count(key) == 0) break;  // become the resolving leader
+        // Another thread is resolving this key right now: wait for it and
         // adopt its artifact instead of running the scheduler twice. The
-        // re-lookup on wake also handles a failed or colliding compile.
+        // re-lookup on wake also handles a failed or colliding resolve.
         cv_compiled_.wait(lock);
     }
 
     ++misses_;
     inflight_.insert(key);
-    const std::shared_ptr<PlanCache> shared = shared_;
     lock.unlock();
 
-    // Resolve the miss outside the lock — through the shared store when one
-    // is attached (its own in-flight dedup makes the compile tier-wide
-    // unique), otherwise by running the scheduler here. Either way a slow
-    // resolution must not stall concurrent hits.
+    // Resolve the miss outside the lock, so a slow compile never stalls
+    // concurrent hits. A micro-plan takes its full plan through
+    // get_or_compile (self-recursion on a different key while unlocked), so
+    // all steps of one shape amortize a single scheduler pass and the full
+    // plan stays cached for whole-sequence traffic.
     CompiledPlanPtr fresh;
     try {
-        fresh = shared ? shared->get_or_compile(pattern, head_dim, config)
-                       : compile_fn_(pattern, head_dim, config);
+        fresh = step_position
+                    ? derive_micro_plan_shared(*get_or_compile(pattern, head_dim, config))
+                    : compile_fn_(pattern, head_dim, config);
     } catch (...) {
         // Unregister and wake waiters so one of them can take over as
         // leader (or hit a cached colliding entry); the error goes to our
@@ -71,78 +83,12 @@ CompiledPlanPtr PlanCache::get_or_compile(const HybridPattern& pattern, int head
     }
 
     lock.lock();
-    if (shared) {
-        ++shared_resolved_;
-    } else {
-        ++compiles_;
-    }
+    ++(step_position ? step_derives_ : compiles_);
     inflight_.erase(key);
     const auto it = by_key_.find(key);
     if (it != by_key_.end()) {
         // A colliding entry with this fingerprint exists (matches() said no
         // on the way in — a true 64-bit collision): replace it.
-        lru_.erase(it->second);
-        by_key_.erase(it);
-    }
-    insert_locked(fresh);
-    cv_compiled_.notify_all();
-    return fresh;
-}
-
-CompiledPlanPtr PlanCache::get_or_derive_step(const HybridPattern& pattern, int head_dim,
-                                              const SaloConfig& config) {
-    SALO_EXPECTS(decode_compatible(pattern));
-    const int position = pattern.n() - 1;
-    const std::uint64_t full_key =
-        plan_fingerprint(pattern, head_dim, config.geometry, config.schedule_options);
-    const std::uint64_t key = step_plan_fingerprint(full_key, position);
-    std::unique_lock<std::mutex> lock(m_);
-    for (;;) {
-        const auto it = by_key_.find(key);
-        if (it != by_key_.end() &&
-            matches(**it->second, pattern, head_dim, config, position)) {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second);  // move to MRU
-            return *it->second;
-        }
-        if (inflight_.count(key) == 0) break;  // become the deriving leader
-        cv_compiled_.wait(lock);
-    }
-
-    ++misses_;
-    inflight_.insert(key);
-    const std::shared_ptr<PlanCache> shared = shared_;
-    lock.unlock();
-
-    // Resolve outside the lock. The full plan goes through get_or_compile —
-    // self-recursion on a different key while unlocked — so all steps of
-    // one shape amortize a single scheduler pass, and the full plan stays
-    // cached for whole-sequence traffic. With a shared store, the store
-    // both compiles and derives tier-wide-once.
-    CompiledPlanPtr fresh;
-    try {
-        if (shared) {
-            fresh = shared->get_or_derive_step(pattern, head_dim, config);
-        } else {
-            const CompiledPlanPtr full = get_or_compile(pattern, head_dim, config);
-            fresh = derive_micro_plan_shared(*full);
-        }
-    } catch (...) {
-        lock.lock();
-        inflight_.erase(key);
-        cv_compiled_.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    if (shared) {
-        ++shared_resolved_;
-    } else {
-        ++step_derives_;
-    }
-    inflight_.erase(key);
-    const auto it = by_key_.find(key);
-    if (it != by_key_.end()) {
         lru_.erase(it->second);
         by_key_.erase(it);
     }
@@ -174,7 +120,6 @@ PlanCacheStats PlanCache::stats() const {
     s.misses = misses_;
     s.compiles = compiles_;
     s.step_derives = step_derives_;
-    s.shared_resolved = shared_resolved_;
     s.evictions = evictions_;
     s.size = lru_.size();
     s.capacity = capacity_;

@@ -11,16 +11,11 @@
 // the leader's compile throws, waiters wake, find no entry, and the next
 // one becomes the new leader, so a failed compile never wedges the key.
 //
-// Shared tier: a cache may be attached to a shared read-mostly store —
-// another PlanCache, typically owned by a ShardedSession and attached to
-// every shard's local cache. A local miss then resolves through the shared
-// store (which dedups in-flight compiles tier-wide) instead of running the
-// scheduler locally, so N shards compiling one shape cost one scheduler
-// pass, not N. Lock order is strictly local → shared (the local lock is
-// dropped before the shared call), so hits on either cache never block on
-// the other's compile. stats().compiles counts scheduler passes executed
-// by *this* cache — with a shared store attached, a shard cache's compiles
-// stays 0 and the shared store's compiles is the tier-wide pass count.
+// One cache per serving tier: ServingTier builds one PlanCache and hands
+// it to every shard engine (SaloConfig::shared_plan_store), so a tier runs
+// the scheduler once per distinct shape and derives each decode step once,
+// whichever shard asks first. The in-flight dedup above makes that hold
+// under concurrent misses from different shards too.
 //
 // Collisions: the fingerprint hashes the full scheduling input, but a
 // 64-bit hash can in principle collide. Every hit re-checks structural
@@ -46,12 +41,9 @@ namespace salo {
 struct PlanCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;      ///< includes fingerprint collisions
-    std::uint64_t compiles = 0;    ///< scheduler passes run by THIS cache
-    /// Decode micro-plan derivations run by THIS cache (get_or_derive_step
-    /// misses resolved locally; like compiles, 0 with a shared store).
+    std::uint64_t compiles = 0;    ///< scheduler passes run by this cache
+    /// Decode micro-plan derivations (get_or_derive_step misses).
     std::uint64_t step_derives = 0;
-    /// Of misses: resolved by the attached shared store (no local compile).
-    std::uint64_t shared_resolved = 0;
     std::uint64_t evictions = 0;   ///< LRU capacity evictions
     std::size_t size = 0;
     std::size_t capacity = 0;
@@ -79,17 +71,12 @@ public:
     /// The decode micro-plan for the last row of `pattern` (a prefix
     /// pattern of length L; the step position is L-1). A miss resolves the
     /// full plan through get_or_compile (so full and micro plans share this
-    /// cache and the tier-wide dedup) and derives the micro-plan from it.
+    /// cache and its in-flight dedup) and derives the micro-plan from it.
     /// The step key is step_plan_fingerprint(full key, position) — a
     /// distinct type tag, so micro-plans never alias full plans in one
     /// cache. Never returns null.
     CompiledPlanPtr get_or_derive_step(const HybridPattern& pattern, int head_dim,
                                        const SaloConfig& config);
-
-    /// Route this cache's misses through `store` (tier-wide compile dedup).
-    /// Passing nullptr detaches. Not thread-safe against concurrent
-    /// get_or_compile — attach at wiring time, before traffic.
-    void attach_shared_store(std::shared_ptr<PlanCache> store);
 
     /// The cached plan for `fingerprint`, or null. Does not touch LRU order
     /// or the hit/miss counters (introspection only).
@@ -106,15 +93,18 @@ private:
     /// position; unset: it wants a full plan. A cached entry of the other
     /// kind never matches, even on a fingerprint collision.
     bool matches(const CompiledPlan& cached, const HybridPattern& pattern, int head_dim,
-                 const SaloConfig& config,
-                 std::optional<int> step_position = std::nullopt) const;
+                 const SaloConfig& config, std::optional<int> step_position) const;
+    /// The lookup both public entry points share: a hit, an adopted
+    /// in-flight result, or a miss this thread resolves outside the lock
+    /// (compiling, or deriving the micro-plan for `step_position`).
+    CompiledPlanPtr resolve(std::uint64_t key, const HybridPattern& pattern, int head_dim,
+                            const SaloConfig& config, std::optional<int> step_position);
     void insert_locked(CompiledPlanPtr plan);
 
     mutable std::mutex m_;
     std::condition_variable cv_compiled_;  ///< an in-flight compile finished
     std::size_t capacity_;
     PlanCompileFn compile_fn_;
-    std::shared_ptr<PlanCache> shared_;  ///< optional tier-wide store
     LruList lru_;
     std::unordered_map<std::uint64_t, LruList::iterator> by_key_;
     std::unordered_set<std::uint64_t> inflight_;  ///< keys being compiled now
@@ -122,7 +112,6 @@ private:
     std::uint64_t misses_ = 0;
     std::uint64_t compiles_ = 0;
     std::uint64_t step_derives_ = 0;
-    std::uint64_t shared_resolved_ = 0;
     std::uint64_t evictions_ = 0;
 };
 

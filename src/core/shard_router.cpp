@@ -58,7 +58,7 @@ AttentionRequest make_request(HybridPattern pattern, Tensor3<float> q, Tensor3<f
 
 ShardedSession::ShardedSession(const SaloConfig& config, ShardedSessionOptions options)
     : ServingTier(config, options.num_shards, options.shard_fault_injectors,
-                  options.shared_plan_store, options.health, /*steps=*/false),
+                  options.health, /*steps=*/false),
       options_(std::move(options)),
       sched_(options_.fairness) {
     SALO_EXPECTS(options_.retry.max_attempts >= 1);
@@ -92,16 +92,6 @@ std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
 
     Task task;
     task.cost = request_cost(request);
-    // The routing key must be known before any shard compiles the request:
-    // consistent_hash keeps one shape on one shard's PlanCache.
-    if (options_.routing == RoutingPolicy::consistent_hash) {
-        const SaloConfig& c = config();
-        task.fingerprint =
-            request.plan != nullptr
-                ? request.plan->fingerprint()
-                : plan_fingerprint(*request.pattern, request.q.cols(), c.geometry,
-                                   c.schedule_options);
-    }
     task.request = std::move(request);
     std::future<LayerResult> future = task.promise.get_future();
     const Priority priority = task.request.priority;
@@ -240,45 +230,17 @@ int ShardedSession::pick_shard(const Task& task, Clock::time_point now) {
                 std::remove(candidates.begin(), candidates.end(), task.last_shard),
                 candidates.end());
 
+        // Least outstanding cost: the shard with the least queued+running
+        // work; ties go to the lowest index.
         int chosen = candidates.front();
-        switch (options_.routing) {
-            case RoutingPolicy::least_outstanding_cost: {
-                std::uint64_t best = ~0ull;
-                for (int s : candidates) {
-                    const std::uint64_t cost =
-                        shards_[static_cast<std::size_t>(s)]->outstanding_cost.load(
-                            std::memory_order_relaxed);
-                    if (cost < best) {
-                        best = cost;
-                        chosen = s;
-                    }
-                }
-                break;
-            }
-            case RoutingPolicy::consistent_hash: {
-                // Rendezvous hashing: stable per fingerprint while the
-                // candidate set shrinks/grows with shard health.
-                std::uint64_t best = 0;
-                bool first = true;
-                for (int s : candidates) {
-                    Fnv1a h;
-                    h.mix(task.fingerprint);
-                    h.mix(s);
-                    const std::uint64_t weight = h.digest();
-                    if (first || weight > best) {
-                        best = weight;
-                        chosen = s;
-                        first = false;
-                    }
-                }
-                break;
-            }
-            case RoutingPolicy::round_robin: {
-                const std::uint64_t turn =
-                    round_robin_.fetch_add(1, std::memory_order_relaxed);
-                chosen = candidates[static_cast<std::size_t>(
-                    turn % candidates.size())];
-                break;
+        std::uint64_t best = ~0ull;
+        for (int s : candidates) {
+            const std::uint64_t cost =
+                shards_[static_cast<std::size_t>(s)]->outstanding_cost.load(
+                    std::memory_order_relaxed);
+            if (cost < best) {
+                best = cost;
+                chosen = s;
             }
         }
         if (health_.try_acquire(chosen, now)) return chosen;

@@ -5,8 +5,9 @@
 // Callers submit AttentionRequests (a compiled plan or a pattern, plus
 // Q/K/V) and immediately receive a std::future<LayerResult>. Router worker
 // threads carry each request end to end over N independent SaloEngine
-// shards — each with its own worker pool and PlanCache — so a wedged or
-// faulting engine degrades the tier instead of taking it down:
+// shards — each with its own worker pool, all sharing the tier's one
+// PlanCache — so a wedged or faulting engine degrades the tier instead of
+// taking it down:
 //
 //   * execution shape: a request alone on its shard runs its heads one per
 //     lane of the shard's pool; requests sharing a shard each run their
@@ -15,10 +16,9 @@
 //   * deadlines and cancellation: expired or cancelled requests are shed
 //     before they reach a shard, and in-flight runs check the token and the
 //     deadline at tile boundaries;
-//   * routing: a pluggable policy picks the shard for every attempt —
-//     least-outstanding-cost (default; joins the shortest effective queue),
-//     consistent-hash by plan fingerprint (cache affinity: one shape
-//     always compiles in one shard's PlanCache), or round-robin;
+//   * routing: every attempt goes to the eligible shard with the least
+//     outstanding cost (the shortest effective queue). The plan cache is
+//     tier-wide, so placement never costs a compile;
 //   * retry with failover: an attempt that ends in EngineFault — or blows
 //     the shard-stall bound (`stall_timeout`) — is retried up to
 //     `RetryPolicy::max_attempts` times with exponential backoff and
@@ -47,9 +47,7 @@
 //     weights, per-tenant admission quotas shed a flooding tenant against
 //     *its own* limits (everyone else sees zero QueueFull), retries are
 //     billed to the faulting tenant's deficit, and tenant_stats() breaks
-//     the conservation law down per tenant. With shared_plan_store set, the
-//     shards also share one read-mostly compile tier, so a shape compiles
-//     once tier-wide even under least-cost routing;
+//     the conservation law down per tenant;
 //
 // Accounting: the SessionStats conservation law
 //   completed + failed + rejected + timed_out + cancelled == submitted
@@ -62,7 +60,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -121,21 +118,6 @@ AttentionRequest make_request(CompiledPlanPtr plan, Tensor3<float> q, Tensor3<fl
 AttentionRequest make_request(HybridPattern pattern, Tensor3<float> q, Tensor3<float> k,
                               Tensor3<float> v, float scale);
 
-enum class RoutingPolicy {
-    least_outstanding_cost,  ///< shard with the least queued+running cost
-    consistent_hash,         ///< rendezvous-hash the plan fingerprint (cache affinity)
-    round_robin,             ///< rotate over the currently-eligible shards
-};
-
-inline const char* routing_policy_name(RoutingPolicy p) {
-    switch (p) {
-        case RoutingPolicy::least_outstanding_cost: return "least_outstanding_cost";
-        case RoutingPolicy::consistent_hash: return "consistent_hash";
-        case RoutingPolicy::round_robin: return "round_robin";
-    }
-    return "?";
-}
-
 struct RetryPolicy {
     /// Total attempts per request, including the first. 1 disables retry.
     int max_attempts = 3;
@@ -149,7 +131,6 @@ struct RetryPolicy {
 
 struct ShardedSessionOptions {
     int num_shards = 2;
-    RoutingPolicy routing = RoutingPolicy::least_outstanding_cost;
     RetryPolicy retry;
     HealthPolicy health;
     /// Tier-level admission policy. Limits scale with the healthy-shard
@@ -174,11 +155,6 @@ struct ShardedSessionOptions {
     /// weight-1 default tenant — bit-for-bit the pre-tenant behavior for
     /// traffic that never sets tenant_id.
     FairQueueOptions fairness;
-    /// Share one read-mostly PlanCache tier across all shards: each
-    /// shard's local cache resolves misses through the shared store, so a
-    /// repeated shape compiles exactly once tier-wide regardless of
-    /// routing. Off by default (consistent_hash already gives affinity).
-    bool shared_plan_store = false;
 };
 
 class ShardedSession : public ServingTier {
@@ -199,7 +175,7 @@ public:
     std::future<LayerResult> submit(const HybridPattern& pattern, Tensor3<float> q,
                                     Tensor3<float> k, Tensor3<float> v, float scale);
 
-    /// Compile through shard 0's PlanCache. The artifact is valid on every
+    /// Compile through the tier's PlanCache. The artifact is valid on every
     /// shard (all shards share one geometry/schedule configuration).
     CompiledPlanPtr compile(const HybridPattern& pattern, int head_dim) const;
 
@@ -214,8 +190,7 @@ private:
         AttentionRequest request;
         std::promise<LayerResult> promise;
         std::uint64_t cost = 0;
-        std::uint64_t id = 0;         ///< submission order; jitter input
-        std::uint64_t fingerprint = 0;  ///< routing key (consistent_hash)
+        std::uint64_t id = 0;  ///< submission order; jitter input
         int attempts = 0;
         int last_shard = -1;
     };
@@ -246,8 +221,6 @@ private:
     std::uint64_t in_flight_cost_ = 0;
     std::size_t in_flight_ = 0;
     std::uint64_t next_task_id_ = 0;
-
-    std::atomic<std::uint64_t> round_robin_{0};
 };
 
 }  // namespace salo

@@ -112,18 +112,18 @@ FailedAttempt classify_failure(
 ServingTier::ServingTier(
     const SaloConfig& config, int num_shards,
     const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
-    bool shared_plan_store, const HealthPolicy& health, bool steps)
-    : health_(std::max(1, num_shards), health), ledger_(steps) {
+    const HealthPolicy& health, bool steps)
+    : plan_cache_(std::make_shared<PlanCache>(
+          static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)))),
+      health_(std::max(1, num_shards), health),
+      ledger_(steps) {
     SALO_EXPECTS(num_shards >= 1);
-    if (shared_plan_store)
-        shared_store_ = std::make_shared<PlanCache>(
-            static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)));
     shards_.reserve(static_cast<std::size_t>(num_shards));
     for (std::size_t i = 0; i < static_cast<std::size_t>(num_shards); ++i) {
         SaloConfig shard_config = config;
         if (i < shard_fault_injectors.size() && shard_fault_injectors[i] != nullptr)
             shard_config.fault_injector = shard_fault_injectors[i];
-        shard_config.shared_plan_store = shared_store_;
+        shard_config.shared_plan_store = plan_cache_;
         shards_.push_back(std::make_unique<Shard>(shard_config));
     }
 }
@@ -160,24 +160,7 @@ SessionStats ServingTier::stats() const {
     }
     s.quarantined_shard_events = health_.quarantined_events_total();
     s.reintegrated_shard_events = health_.reintegrated_events_total();
-    for (const auto& shard : shards_) {
-        const PlanCacheStats c = shard->engine.plan_cache_stats();
-        s.plan_cache.hits += c.hits;
-        s.plan_cache.misses += c.misses;
-        s.plan_cache.compiles += c.compiles;
-        s.plan_cache.step_derives += c.step_derives;
-        s.plan_cache.shared_resolved += c.shared_resolved;
-        s.plan_cache.evictions += c.evictions;
-        s.plan_cache.size += c.size;
-        s.plan_cache.capacity += c.capacity;
-    }
-    if (shared_store_) {
-        // With a shared store attached the shard caches run no scheduler
-        // passes; the store's are the tier's.
-        const PlanCacheStats c = shared_store_->stats();
-        s.plan_cache.compiles += c.compiles;
-        s.plan_cache.step_derives += c.step_derives;
-    }
+    s.plan_cache = plan_cache_->stats();
     return s;
 }
 

@@ -4,10 +4,10 @@
 //
 // It holds exactly one copy of each contract the front doors share:
 //
-//   * the shard set: N SaloEngines, each with its own worker pool,
-//     PlanCache and optional per-shard fault injector, optionally sharing
-//     one read-mostly compile store, plus per-shard circuit breakers
-//     (core/health.hpp) and the one tier-wide plan-cache aggregation;
+//   * the shard set: N SaloEngines, each with its own worker pool and
+//     optional per-shard fault injector, all sharing the tier's one
+//     PlanCache (so a shape compiles once, whichever shard asks), plus
+//     per-shard circuit breakers (core/health.hpp);
 //   * the admission wait: closed / expired / decide / wait, looped under
 //     the tier mutex. Each tier supplies its own decide function (global
 //     policy, tenant quota, health scaling) and its reject side effect
@@ -59,7 +59,7 @@ struct SessionStats {
     /// whose router workers carry one request each.
     std::uint64_t batches = 0;
     std::size_t max_batch = 0;
-    PlanCacheStats plan_cache;    ///< summed over the tier's shard caches
+    PlanCacheStats plan_cache;    ///< the tier's one plan cache
 
     // Sharded-tier counters (core/shard_router.hpp). retried/failed_over
     // count *attempts* (one request retried twice contributes 2) and live
@@ -178,8 +178,7 @@ public:
     /// Idempotent; the destructors call it.
     void close();
 
-    /// Tier-wide counters. plan_cache sums the shard caches plus the
-    /// shared store's scheduler passes and step derivations.
+    /// Tier-wide counters; plan_cache is the one cache every shard uses.
     SessionStats stats() const;
 
     /// Per-tenant breakdown of the serving counters. Summing any field
@@ -189,11 +188,6 @@ public:
 
     /// Per-shard breaker states and counters.
     std::vector<ShardHealthSnapshot> shard_health() const;
-
-    /// The shared compile tier (null unless the options set
-    /// shared_plan_store). Its stats().compiles is the tier-wide
-    /// scheduler-pass count.
-    std::shared_ptr<PlanCache> shared_plan_store() const { return shared_store_; }
 
     int num_shards() const { return static_cast<int>(shards_.size()); }
     const SaloEngine& shard_engine(int shard) const {
@@ -213,11 +207,11 @@ protected:
     };
 
     /// Builds the shard set: shard i runs `config` with
-    /// shard_fault_injectors[i] (when present and non-null) and, with
-    /// `shared_plan_store`, one compile store attached to every shard.
+    /// shard_fault_injectors[i] (when present and non-null) and the tier's
+    /// one plan cache of config.plan_cache_capacity.
     ServingTier(const SaloConfig& config, int num_shards,
                 const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
-                bool shared_plan_store, const HealthPolicy& health, bool steps);
+                const HealthPolicy& health, bool steps);
     ~ServingTier() = default;
 
     /// Launch the tier's serving threads (joined by close()).
@@ -243,7 +237,7 @@ protected:
                const std::optional<Clock::time_point>& wait_until, Decide&& decide,
                Refuse&& refuse);
 
-    std::shared_ptr<PlanCache> shared_store_;  ///< before shards_ (they attach to it)
+    std::shared_ptr<PlanCache> plan_cache_;  ///< every shard's; before shards_
     std::vector<std::unique_ptr<Shard>> shards_;
     mutable HealthSupervisor health_;
 

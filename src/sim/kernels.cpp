@@ -216,49 +216,10 @@ __attribute__((target("avx2"))) static void wacc_sp_i8_avx2(std::int32_t* acc,
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512BW: same structure at 512-bit width (32 int8 products per madd).
+// AVX-512BW: wacc at 512-bit width. The avx512 levels keep the AVX2
+// dot_rows: a 512-bit form won only at d 128, which no workload runs
+// (docs/PERFORMANCE.md "Cost per level").
 // ---------------------------------------------------------------------------
-
-__attribute__((target("avx512bw"))) static std::int32_t dot_i8_avx512(
-    const std::int8_t* q, const std::int8_t* k, int d) {
-    __m512i acc = _mm512_setzero_si512();
-    int t = 0;
-    for (; t + 32 <= d; t += 32) {
-        const __m512i qw = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + t)));
-        const __m512i kw = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k + t)));
-        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(qw, kw));
-    }
-    std::int32_t sum = _mm512_reduce_add_epi32(acc);
-    for (; t < d; ++t) sum += static_cast<std::int32_t>(q[t]) * k[t];
-    return sum;
-}
-
-__attribute__((target("avx512bw"))) static void dot_i8_rows_avx512(
-    const std::int8_t* q, const std::int8_t* kbase, const int* keys, int count, int d,
-    std::int32_t* scores) {
-    if (d % 32 != 0 || d > 256) {
-        for (int i = 0; i < count; ++i)
-            scores[i] = dot_i8_avx512(q, row_ptr(kbase, keys[i], d), d);
-        return;
-    }
-    const int nb = d / 32;
-    __m512i qv[8];
-    for (int b = 0; b < nb; ++b)
-        qv[b] = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 32 * b)));
-    for (int i = 0; i < count; ++i) {
-        const std::int8_t* k = row_ptr(kbase, keys[i], d);
-        __m512i acc = _mm512_setzero_si512();
-        for (int b = 0; b < nb; ++b) {
-            const __m512i kw = _mm512_cvtepi8_epi16(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k + 32 * b)));
-            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(qv[b], kw));
-        }
-        scores[i] = _mm512_reduce_add_epi32(acc);
-    }
-}
 
 __attribute__((target("avx512bw"))) static void axpy_sp_i8_avx512(std::int32_t* acc,
                                                                   std::uint32_t sp,
@@ -767,12 +728,12 @@ const std::vector<KernelSet>& kernel_sets() {
     static const std::vector<KernelSet> sets = [] {
         std::vector<KernelSet> levels;
 #if defined(SALO_X86_DISPATCH)
-        // The row kernels need BW; the 64-bit-lane kernels F and DQ; the
-        // tile path VL and VNNI on top.
+        // wacc needs BW; the 64-bit-lane kernels F and DQ; the tile path
+        // VL and VNNI on top.
         if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
             __builtin_cpu_supports("avx512dq")) {
             const KernelSet avx512{.name = "avx512",
-                                   .dot_rows = dot_i8_rows_avx512,
+                                   .dot_rows = dot_i8_rows_avx2,
                                    .wacc = wacc_sp_i8_avx512,
                                    .pwl_exp_batch = pwl_exp_batch_avx512,
                                    .normalize_probs = normalize_probs_avx512,

@@ -32,8 +32,9 @@
 // F+BW+DQ+VL+VNNI), avx512 (F+BW+DQ), avx2 and unrolled scalar, built with
 // GCC/Clang target attributes — no special compile flags needed, and the
 // binary stays runnable on any x86-64. Non-x86 builds have the scalar level
-// only. Every level is bit-identical to scalar (tested level by level);
-// production code runs dispatched(), the widest level the host runs.
+// only. The avx512 levels share avx2's dot_rows. Every level is
+// bit-identical to scalar (tested level by level); production code runs
+// dispatched(), the widest level the host runs.
 #pragma once
 
 #include <cstddef>

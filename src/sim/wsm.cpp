@@ -19,8 +19,9 @@ std::uint32_t normalize_weight(SumRaw w, InvRaw inv) {
 }
 }  // namespace
 
-WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit)
-    : recip_unit_(&recip_unit), mix_(kernels::dispatched().mix), n_(n), d_(d),
+WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit,
+                                     const kernels::KernelSet& kernel_set)
+    : recip_unit_(&recip_unit), mix_(kernel_set.mix), n_(n), d_(d),
       weight_(static_cast<std::size_t>(n), 0),
       out_q_(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0),
       initialized_(static_cast<std::size_t>(n), 0) {

@@ -25,8 +25,11 @@ namespace salo {
 
 class WeightedSumModule {
 public:
-    /// n queries, head dimension d.
-    WeightedSumModule(int n, int d, const Reciprocal& recip_unit);
+    /// n queries, head dimension d. `kernel_set` picks the ISA level of
+    /// the vectorized merge (defaults to the widest the host runs; every
+    /// level gives the same bits).
+    WeightedSumModule(int n, int d, const Reciprocal& recip_unit,
+                      const kernels::KernelSet& kernel_set = kernels::dispatched());
 
     /// Merge one part into the running output of part.query (Eq. 2).
     ///
@@ -46,7 +49,7 @@ public:
 
 private:
     const Reciprocal* recip_unit_;
-    kernels::MixFn mix_;  ///< the dispatched level's, resolved once
+    kernels::MixFn mix_;  ///< the kernel set's, resolved once
     int n_;
     int d_;
     std::vector<SumRaw> weight_;                ///< running W per query

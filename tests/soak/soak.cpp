@@ -18,7 +18,7 @@
 // 10 ms).
 //
 // noisy: 4 well-behaved tenants send paced interactive ViL-28x28 requests
-// (6 each) through a 1-shard, 1-lane tier with the shared plan store, while
+// (6 each) through a 1-shard, 1-lane tier, while
 // an aggressor floods 10x as many batch-class ViL-14x14 requests against
 // its own {weight 1, reject_fast, max_queue 4} quota. Gates:
 //   (a) every well-behaved tenant's p99 is under 2x the solo run's p99
@@ -343,7 +343,6 @@ TenantRun run_tenants(const SaloConfig& config, const TenantMix& mix, int wb_ten
     // scheduler's pick order, which more lanes would let the OS blur.
     options.num_shards = 1;
     options.router_workers = 1;
-    options.shared_plan_store = true;
     options.retry.max_attempts = 2;
     options.retry.jitter_seed = seed;
     if (noisy) {

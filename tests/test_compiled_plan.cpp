@@ -326,42 +326,6 @@ TEST(PlanCacheTest, ThrowingCompileWakesWaitersAndRetries) {
     EXPECT_EQ(calls.load(), 2);
 }
 
-TEST(PlanCacheTest, SharedStoreCompilesOnceAcrossCaches) {
-    // Four "shard" caches attached to one shared store: the same shape
-    // resolved through each local cache runs the scheduler exactly once
-    // tier-wide (in the shared store), and every cache hands out the same
-    // artifact.
-    auto store = std::make_shared<PlanCache>(8);
-    std::vector<std::unique_ptr<PlanCache>> locals;
-    for (int i = 0; i < 4; ++i) {
-        locals.push_back(std::make_unique<PlanCache>(8));
-        locals.back()->attach_shared_store(store);
-    }
-    const SaloConfig config;
-    const HybridPattern p = longformer(64, 8, 1);
-
-    std::vector<CompiledPlanPtr> got;
-    for (auto& local : locals) got.push_back(local->get_or_compile(p, 16, config));
-    for (std::size_t i = 1; i < got.size(); ++i) EXPECT_EQ(got[0], got[i]);
-
-    EXPECT_EQ(store->stats().compiles, 1u);  // one scheduler pass tier-wide
-    EXPECT_EQ(store->stats().misses, 1u);
-    EXPECT_EQ(store->stats().hits, 3u);
-    for (auto& local : locals) {
-        const PlanCacheStats s = local->stats();
-        EXPECT_EQ(s.compiles, 0u);  // locals never ran the scheduler
-        EXPECT_EQ(s.misses, 1u);
-        EXPECT_EQ(s.shared_resolved, 1u);
-        EXPECT_EQ(s.size, 1u);
-    }
-
-    // Second sight is a pure local hit — the shared store is not touched.
-    const std::uint64_t store_lookups = store->stats().hits + store->stats().misses;
-    for (auto& local : locals) EXPECT_EQ(local->get_or_compile(p, 16, config), got[0]);
-    EXPECT_EQ(store->stats().hits + store->stats().misses, store_lookups);
-    for (auto& local : locals) EXPECT_EQ(local->stats().hits, 1u);
-}
-
 TEST(PlanCacheTest, PeekDoesNotCountOrReorder) {
     PlanCache cache(4);
     const SaloConfig config;

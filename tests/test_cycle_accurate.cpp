@@ -15,6 +15,7 @@
 #include "sim/cycle_accurate.hpp"
 #include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
+#include "sim/wsm.hpp"
 #include "workload/workloads.hpp"
 
 namespace salo {
@@ -46,7 +47,9 @@ struct Fixture {
 // at every kernel level the host runs (kernels::kernel_sets(); on the
 // avx512vnni level the multi-row tiles run on the tile path, elsewhere on
 // the row path). pe_cycles is accounted on the production side as the
-// engine does. The plans cover every segment layout the scheduler emits
+// engine does. Each level's WeightedSumModule then merges that level's
+// parts in schedule order, and its finalize_raw() must equal the scalar
+// level's bit for bit. The plans cover every segment layout the scheduler emits
 // (single, dilated, column-packed multi-segment), many globals, square and
 // non-square arrays, d = 8, 16, 64 and 128, a layer whose every
 // exponential underflows, and decode micro-plans (one query row against
@@ -75,8 +78,11 @@ void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std:
     const CycleConfig ccfg;
     const CycleAccurateArray array(plan.geometry, ccfg, exp_unit, recip_unit, q, k, v);
     std::vector<TileExecutor> execs;
-    for (const kernels::KernelSet& ks : kernels::kernel_sets())
+    std::vector<WeightedSumModule> wsms;
+    for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
         execs.emplace_back(exp_unit, recip_unit, q, k, v, ks);
+        wsms.emplace_back(q.rows(), q.cols(), recip_unit, ks);
+    }
     std::vector<TilePart> parts;
     PartArena arena;
     PartScratch scratch;
@@ -99,8 +105,13 @@ void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std:
             EXPECT_EQ(a.valid_slots, b.valid_slots) << where;
             EXPECT_EQ(a.array_slots, b.array_slots) << where;
             EXPECT_EQ(a.pe_cycles, b.pe_cycles) << where;
+            for (std::size_t i = 0; i < arena.used(); ++i) wsms[l].merge(arena.at(i));
         }
     }
+    const Matrix<std::int16_t> scalar = wsms.back().finalize_raw();  // scalar is last
+    for (std::size_t l = 0; l + 1 < wsms.size(); ++l)
+        EXPECT_TRUE(std::ranges::equal(wsms[l].finalize_raw().data(), scalar.data()))
+            << kernels::kernel_sets()[l].name << ": " << what << ", merged output";
 }
 
 struct DatapathShape {

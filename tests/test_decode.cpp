@@ -248,21 +248,6 @@ TEST(MicroPlanFingerprint, FullAndMicroCoexistInOneCache) {
     // repeat lookups above.
 }
 
-TEST(MicroPlanFingerprint, StepDerivationSharedStoreTierWide) {
-    const SaloConfig config;
-    const HybridPattern pattern(16, {Band{-3, 4, 1, 0}}, {});
-    auto store = std::make_shared<PlanCache>(16);
-    PlanCache a(8), b(8);
-    a.attach_shared_store(store);
-    b.attach_shared_store(store);
-    const CompiledPlanPtr ma = a.get_or_derive_step(pattern, 8, config);
-    const CompiledPlanPtr mb = b.get_or_derive_step(pattern, 8, config);
-    EXPECT_EQ(ma.get(), mb.get());  // one tier-wide derivation
-    EXPECT_EQ(store->stats().step_derives, 1u);
-    EXPECT_EQ(a.stats().step_derives, 0u);
-    EXPECT_EQ(b.stats().step_derives, 0u);
-}
-
 TEST(MicroPlan, GeometryAndTileShape) {
     const SaloConfig config;
     const std::vector<Band> bands{Band{-7, 8, 1, 0}};
@@ -900,7 +885,6 @@ TEST(DecodeSession, SharedPlanStoreDerivesEachPositionOnceTierWide) {
 
     DecodeSessionOptions options;
     options.num_shards = 2;
-    options.shared_plan_store = true;
     DecodeSession session(config, options);
 
     Rng rng(21u);
@@ -917,12 +901,48 @@ TEST(DecodeSession, SharedPlanStoreDerivesEachPositionOnceTierWide) {
         }
     session.close();
 
-    // Both streams walked positions 0..5; with the shared store each
-    // micro-plan was derived exactly once tier-wide no matter which shard
-    // each stream landed on.
+    // Both streams walked positions 0..5; the tier's one plan cache derived
+    // each micro-plan exactly once no matter which shard each stream
+    // landed on.
     const SessionStats st = session.stats();
     EXPECT_EQ(st.plan_cache.step_derives, static_cast<std::uint64_t>(steps));
     EXPECT_EQ(st.completed, static_cast<std::uint64_t>(2 * steps));
+}
+
+TEST(DecodeSession, StreamsOnBothShardsDeriveEachStepOnce) {
+    // Default options: open streams until both shards hold one, then walk
+    // every stream through every position. The tier's one plan cache
+    // derives each position's micro-plan once, not once per shard.
+    const std::vector<Band> bands = {Band{-3, 4, 1, 0}};
+    const HybridPattern pattern(5, bands, {0});
+    const int heads = 1, d = 8, steps = 5;
+    DecodeSessionOptions options;
+    options.num_shards = 2;
+    DecodeSession session(SaloConfig{}, options);
+
+    std::vector<StreamId> ids;
+    std::vector<int> on_shard(2, 0);
+    while ((on_shard[0] == 0 || on_shard[1] == 0) && ids.size() < 64) {
+        ids.push_back(session.open_stream(pattern, heads, d, 0.5f));
+        ++on_shard[static_cast<std::size_t>(session.stream_shard(ids.back()))];
+    }
+    ASSERT_TRUE(on_shard[0] > 0 && on_shard[1] > 0) << "placement never used shard 1";
+
+    Rng rng(23u);
+    const Tensor3<float> rows = random_tensor3(heads, steps, d, rng);
+    for (int t = 0; t < steps; ++t)
+        for (const StreamId id : ids) {
+            StepRequest req;
+            req.q_row = head_row(rows, t, heads, d);
+            req.k_row = head_row(rows, t, heads, d);
+            req.v_row = head_row(rows, t, heads, d);
+            EXPECT_NO_THROW(session.step(id, std::move(req)).get());
+        }
+    session.close();
+
+    const SessionStats st = session.stats();
+    EXPECT_EQ(st.plan_cache.step_derives, static_cast<std::uint64_t>(steps));
+    EXPECT_EQ(st.completed, static_cast<std::uint64_t>(steps) * ids.size());
 }
 
 }  // namespace

@@ -281,22 +281,29 @@ TEST(ShardedSession, MixedStreamBitIdenticalToSequentialEngine) {
     expect_conserved(s);
 }
 
-TEST(ShardedSession, ConsistentHashKeepsOneShapeInOneShardCache) {
+TEST(ShardedSession, DefaultTierCompilesEachShapeOnce) {
+    // The tier has one plan cache: a shape looked up on every shard and
+    // then served by a concurrent burst (least-cost routing spreads it over
+    // any subset of shards) runs the scheduler once, and every shard hands
+    // out the same artifact.
     const Work work;
     ShardedSessionOptions options;
     options.num_shards = 4;
-    options.routing = RoutingPolicy::consistent_hash;
     ShardedSession tier(serving_config(1), options);
-    for (int i = 0; i < 6; ++i)
-        EXPECT_EQ(tier.submit(work.request()).get().output.count(), 1);
+    const CompiledPlanPtr plan = tier.shard_engine(0).compile(work.w.pattern, work.w.head_dim);
+    for (int s = 1; s < tier.num_shards(); ++s)
+        EXPECT_EQ(tier.shard_engine(s).compile(work.w.pattern, work.w.head_dim).get(),
+                  plan.get())
+            << "shard " << s;
+    std::vector<std::future<LayerResult>> futures;
+    for (int i = 0; i < 16; ++i) futures.push_back(tier.submit(work.request()));
+    for (auto& f : futures) EXPECT_EQ(f.get().output.count(), 1);
     tier.close();
-    // One shape, rendezvous-hashed: exactly one shard ever compiled it.
-    int shards_with_compiles = 0;
-    for (int s = 0; s < tier.num_shards(); ++s)
-        if (tier.shard_engine(s).plan_cache_stats().misses > 0) ++shards_with_compiles;
-    EXPECT_EQ(shards_with_compiles, 1);
-    EXPECT_EQ(tier.stats().plan_cache.misses, 1u);
-    EXPECT_EQ(tier.stats().completed, 6u);
+
+    const SessionStats s = tier.stats();
+    EXPECT_EQ(s.plan_cache.compiles, 1u) << "scheduler ran more than once";
+    EXPECT_EQ(s.plan_cache.misses, 1u);
+    EXPECT_EQ(s.completed, 16u);
 }
 
 // -------------------------------------------------------------------------
@@ -751,16 +758,12 @@ TEST(TenantFairness, RetryIsBilledToTheTenant) {
 
 TEST(TenantFairness, SharedPlanStoreCompilesOnceTierWide) {
     // Acceptance gate: under least-cost routing across 4 shards, a
-    // repeated shape runs the scheduler exactly once tier-wide — the
-    // shared store does the single compile, shard-local caches resolve
-    // through it and never run the scheduler themselves.
+    // repeated shape runs the scheduler exactly once tier-wide — every
+    // shard engine resolves plans through the tier's one cache.
     const Work work;
     ShardedSessionOptions options;
     options.num_shards = 4;
-    options.routing = RoutingPolicy::least_outstanding_cost;
-    options.shared_plan_store = true;
     ShardedSession tier(serving_config(1), options);
-    ASSERT_NE(tier.shared_plan_store(), nullptr);
 
     const SaloEngine seq(serving_config(1));
     const LayerResult expected = work.run_on(seq);
@@ -772,52 +775,31 @@ TEST(TenantFairness, SharedPlanStoreCompilesOnceTierWide) {
     for (auto& f : futures) expect_identical_layer(f.get(), expected, "shared-store");
     tier.close();
 
-    const PlanCacheStats store = tier.shared_plan_store()->stats();
-    EXPECT_EQ(store.compiles, 1u) << "scheduler ran more than once tier-wide";
-    for (int shard = 0; shard < tier.num_shards(); ++shard)
-        EXPECT_EQ(tier.shard_engine(shard).plan_cache_stats().compiles, 0u)
-            << "shard " << shard << "'s local cache ran the scheduler";
     const SessionStats s = tier.stats();
-    EXPECT_GE(s.plan_cache.shared_resolved, 1u);
+    EXPECT_EQ(s.plan_cache.compiles, 1u) << "scheduler ran more than once tier-wide";
+    for (int shard = 0; shard < tier.num_shards(); ++shard) {
+        const PlanCacheStats c = tier.shard_engine(shard).plan_cache_stats();
+        EXPECT_EQ(c.compiles, 1u) << "shard " << shard;
+        EXPECT_EQ(c.hits + c.misses, s.plan_cache.hits + s.plan_cache.misses)
+            << "shard " << shard << " reports another cache than the tier";
+    }
     EXPECT_EQ(s.completed, 16u);
     expect_conserved(s);
 }
 
 TEST(TenantFairness, TierStatsCountSharedStoreCompiles) {
-    // stats().plan_cache.compiles is the tier's scheduler-pass count, so
-    // with a shared store it must include the store's single compile (it
-    // used to sum only the shard caches and read 0).
+    // stats().plan_cache.compiles is the tier's scheduler-pass count: the
+    // one cache's single compile, not a sum over shards.
     const Work work;
     ShardedSessionOptions options;
     options.num_shards = 4;
-    options.shared_plan_store = true;
     ShardedSession tier(serving_config(1), options);
     std::vector<std::future<LayerResult>> futures;
     for (int i = 0; i < 8; ++i) futures.push_back(tier.submit(work.request()));
     for (auto& f : futures) EXPECT_EQ(f.get().output.count(), 1);
     tier.close();
 
-    EXPECT_EQ(tier.shared_plan_store()->stats().compiles, 1u);
     EXPECT_EQ(tier.stats().plan_cache.compiles, 1u);
-}
-
-TEST(TenantFairness, WithoutSharedStoreEachShardCompiles) {
-    // Control for the test above: least-cost routing without the shared
-    // store compiles per shard (the PR 4 status quo the store removes).
-    const Work work;
-    ShardedSessionOptions options;
-    options.num_shards = 2;
-    options.routing = RoutingPolicy::round_robin;
-    ShardedSession tier(serving_config(1), options);
-    EXPECT_EQ(tier.shared_plan_store(), nullptr);
-
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(tier.submit(work.request()).get().output.count(), 1);
-    tier.close();
-
-    const SessionStats s = tier.stats();
-    EXPECT_EQ(s.plan_cache.compiles, 2u);  // one scheduler pass per shard
-    EXPECT_EQ(s.plan_cache.shared_resolved, 0u);
 }
 
 TEST(ShardedSession, DegradedTierShedsEarlier) {
