@@ -26,9 +26,11 @@
 //
 // Execution: the engine owns a persistent worker pool, and a head is the only
 // parallel work quantum. Each lane runs whole heads through the sequential
-// tile loop, merging every tile's parts into the head's weighted-sum module
-// in schedule order — the order one lane uses — so results are bit-identical
-// for every thread count. A single-head call always runs on the caller.
+// tile loop, merging every part into the head's weighted-sum module the
+// moment it is made, in schedule order — the order one lane uses — so
+// results are bit-identical for every thread count, and finalizes the
+// head's output slice on the lane. A single-head call always runs on the
+// caller.
 #pragma once
 
 #include <chrono>
@@ -224,6 +226,11 @@ private:
     /// injector as the fallback.
     RunControl run_control(const RunOptions& options) const;
 
+    /// The functional head path's large buffers (engine.cpp).
+    struct HeadBuffers;
+    /// The calling thread's HeadBuffers, reused by every head it runs.
+    static HeadBuffers& thread_buffers();
+
     /// One head of `plan`: the golden oracle, or quantize at the accelerator
     /// boundary and run the sequential tile loop. q is the plan's query rows
     /// (all n for a layer, the one step row for a micro-plan); float K/V are
@@ -234,10 +241,18 @@ private:
                             const Matrix<T>& k, const Matrix<T>& v, float scale,
                             Fidelity fidelity, const RunControl* ctl) const;
 
+    /// The sequential tile loop of one head, its quantized Q in buffers.q:
+    /// every part merges into buffers.wsm where it is made, then the head's
+    /// output slice is finalized on this lane.
+    HeadResult run_datapath(const CompiledPlan& plan, const Matrix<std::int8_t>& k,
+                            const Matrix<std::int8_t>& v, Fidelity fidelity,
+                            const RunControl* ctl, HeadBuffers& buffers) const;
+
     /// Runs `run_one(h) -> HeadResult` for every head — one whole head per
     /// pool task when `thread_budget` allows more than one lane and there
-    /// is more than one head, else in order on the caller — moves each
-    /// head's output into out[h] and returns the summed stats.
+    /// is more than one head, else in order on the caller — builds `out`
+    /// from the heads' outputs (slice h is head h's) and returns the summed
+    /// stats. Throws, leaving `out` as it was, if any head throws.
     template <typename RunHead>
     SimStats run_heads(int heads, int thread_budget, Tensor3<float>& out,
                        RunHead&& run_one) const;

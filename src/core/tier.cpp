@@ -113,8 +113,10 @@ ServingTier::ServingTier(
     const SaloConfig& config, int num_shards,
     const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
     const HealthPolicy& health, bool steps)
-    : plan_cache_(std::make_shared<PlanCache>(
-          static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)))),
+    : plan_cache_(config.shared_plan_store
+                      ? config.shared_plan_store
+                      : std::make_shared<PlanCache>(static_cast<std::size_t>(
+                            std::max(1, config.plan_cache_capacity)))),
       health_(std::max(1, num_shards), health),
       ledger_(steps) {
     SALO_EXPECTS(num_shards >= 1);

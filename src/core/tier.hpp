@@ -208,7 +208,8 @@ protected:
 
     /// Builds the shard set: shard i runs `config` with
     /// shard_fault_injectors[i] (when present and non-null) and the tier's
-    /// one plan cache of config.plan_cache_capacity.
+    /// one plan cache: config.shared_plan_store when set, else a new one of
+    /// config.plan_cache_capacity.
     ServingTier(const SaloConfig& config, int num_shards,
                 const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
                 const HealthPolicy& health, bool steps);

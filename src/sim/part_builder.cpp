@@ -28,7 +28,7 @@ bool normalize_part(const kernels::KernelSet& ks, const PwlExp& exp_unit,
                     const Reciprocal& recip_unit, int query, const ScoreRaw* scores,
                     int count, ActivityStats& activity, TilePart& part,
                     PartScratch& scratch) {
-    part.query = query;  // out_q arrives zeroed and sized d from the arena
+    part.query = query;  // out_q arrives zeroed and sized d from the sink
 
     // Stage 2: PWL exponential per element; stage 3: row accumulation.
     scratch.exps.resize(static_cast<std::size_t>(count));

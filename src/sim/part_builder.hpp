@@ -44,6 +44,7 @@ struct PartScratch {
     std::vector<std::int32_t> band;
     std::vector<StagedSegment> segments;
     std::vector<std::uint8_t> sp_bytes;  ///< one row's stage-5 lo/hi byte planes
+    TilePart part;  ///< the part being built when parts merge where made
 };
 
 /// Stages 2-4 of one part: PWL exponential, row sum, reciprocal and
@@ -61,7 +62,7 @@ void finish_part(const kernels::KernelSet& ks, int count, ActivityStats& activit
                  TilePart& part);
 
 /// Build the normalized output part for `query` from its raw scores and the
-/// key ids they belong to, into an arena-owned part (normalize_part, then
+/// key ids they belong to, into a cleared part of width d (normalize_part, then
 /// stage 5 by the set's wacc, then finish_part). Stage 5 accumulates sp * v
 /// directly into part.out_q in int32 — exact, because the Q.15
 /// probabilities of a row sum to ~1.0 (bounded by 1 + the reciprocal unit's

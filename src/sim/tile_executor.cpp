@@ -42,6 +42,27 @@ ActiveRows active_rows(const TileTask& tile) {
     return a;
 }
 
+/// Part sinks for TileExecutor::execute.
+struct ArenaSink {
+    PartArena& arena;
+    TilePart& take(int d) { return arena.alloc(d); }
+    void put(const TilePart& part) {
+        if (part.weight == 0) arena.drop_last();
+    }
+};
+
+struct MergeSink {
+    WeightedSumModule& wsm;
+    TilePart& part;  ///< the one reused part buffer
+    TilePart& take(int d) {
+        part.query = -1;
+        part.weight = 0;
+        part.out_q.assign(static_cast<std::size_t>(d), 0);
+        return part;
+    }
+    void put(const TilePart& p) { wsm.merge(p); }  // a massless part merges as a no-op
+};
+
 }  // namespace
 
 TileExecutor::TileExecutor(const PwlExp& exp_unit, const Reciprocal& recip_unit,
@@ -69,9 +90,16 @@ bool TileExecutor::tile_path(const TileTask& tile) const {
     return active_rows(tile).count >= kTilePathMinRows;
 }
 
+void TileExecutor::run(const TileTask& tile, WeightedSumModule& wsm,
+                       ActivityStats& activity, PartScratch& scratch) const {
+    MergeSink sink{wsm, scratch.part};
+    execute(tile, sink, activity, scratch, tile_path(tile));
+}
+
 void TileExecutor::run(const TileTask& tile, PartArena& arena, ActivityStats& activity,
                        PartScratch& scratch) const {
-    execute(tile, arena, activity, scratch, tile_path(tile));
+    ArenaSink sink{arena};
+    execute(tile, sink, activity, scratch, tile_path(tile));
 }
 
 // ---------------------------------------------------------------------------
@@ -130,11 +158,11 @@ int TileExecutor::stage_tile(const TileTask& tile, PartScratch& scratch) const {
 }
 
 // ---------------------------------------------------------------------------
-// Hot path: segment-wise streaming, the set's SIMD kernels, arena parts.
+// Hot path: segment-wise streaming, the set's SIMD kernels, parts to a sink.
 // ---------------------------------------------------------------------------
-void TileExecutor::execute(const TileTask& tile, PartArena& arena,
-                           ActivityStats& activity, PartScratch& scratch,
-                           bool tiled) const {
+template <typename Sink>
+void TileExecutor::execute(const TileTask& tile, Sink& sink, ActivityStats& activity,
+                           PartScratch& scratch, bool tiled) const {
     const kernels::KernelSet& ks = *kernels_;
     const int rows = tile.rows();
     const int cols = tile.cols();
@@ -161,10 +189,10 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
     int* keys = scratch.keys.data();
 
     auto emit = [&](int query, int count) {
-        TilePart& part = arena.alloc(d);
+        TilePart& part = sink.take(d);
         build_part_into(ks, *exp_unit_, *recip_unit_, *v_, query, scores, keys, count,
                         activity, part, scratch);
-        if (part.weight == 0) arena.drop_last();
+        sink.put(part);
     };
 
     int first_active = 0;
@@ -203,7 +231,7 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
             }
             activity.mac_ops += static_cast<std::int64_t>(count) * d;
             if (count > 0) {
-                TilePart& part = arena.alloc(d);
+                TilePart& part = sink.take(d);
                 if (normalize_part(ks, *exp_unit_, *recip_unit_, qi, scores, count, activity,
                                    part, scratch)) {
                     const std::uint32_t* sps = scratch.sps.data();
@@ -217,9 +245,8 @@ void TileExecutor::execute(const TileTask& tile, PartArena& arena,
                         sps += st.count;
                     }
                     finish_part(ks, count, activity, part);
-                } else {
-                    arena.drop_last();
                 }
+                sink.put(part);
             }
         } else if (qi >= 0) {
             // Row path: keys are gathered first, then the whole row's dots

@@ -8,7 +8,12 @@
 // re-derives every stage from the scalar numeric units in per-cycle loops
 // and must emit the same parts and activity counters (tested).
 //
-// run(tile, arena, activity, scratch) is the hot path. It executes a tile's
+// run(tile, wsm, activity, scratch) is the hot path: like the weighted-sum
+// module at the end of each PE row (paper §5.3), it merges every part into
+// the head's WeightedSumModule the moment the part's stage 5 finishes,
+// through one reused part buffer, so no part is stored. run(tile, arena,
+// ...) has the same body but appends the parts to an arena instead (the
+// oracle test and module-by-module timing read them). Both execute a tile's
 // PE-array rows on one of two datapaths, chosen per tile from the
 // executor's kernel set and the tile, never from an option:
 //   * The tile path, as the hardware does it (paper §4.1/§5.2): a key
@@ -26,7 +31,7 @@
 // parts, in the same order, bit for bit (tested: an executor on the avx512
 // set runs every tile on the row path with the same row kernels).
 // Thread-safe: concurrent calls on one executor are fine as long as each
-// worker lane owns its arena and scratch.
+// worker lane owns its sink (arena or module) and scratch.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +43,7 @@
 #include "sim/kernels.hpp"
 #include "sim/part_builder.hpp"
 #include "sim/parts.hpp"
+#include "sim/wsm.hpp"
 #include "tensor/matrix.hpp"
 
 namespace salo {
@@ -52,11 +58,17 @@ public:
                  const Matrix<std::int8_t>& v,
                  const kernels::KernelSet& set = kernels::dispatched());
 
-    /// Hot path: execute one tile, appending its output parts (per PE row:
+    /// Hot path: execute one tile, merging its output parts (per PE row:
     /// the window part, then the global-column part; then the global-row
-    /// part) to `arena` and updating activity counters. `scratch` is reused
-    /// across calls; use one arena + scratch per worker lane. Takes the
-    /// tile path when tile_path(tile), the row path otherwise.
+    /// part) into `wsm` as each is made, and updating activity counters.
+    /// `scratch` is reused across calls; use one module + scratch per
+    /// worker lane. Takes the tile path when tile_path(tile), the row path
+    /// otherwise.
+    void run(const TileTask& tile, WeightedSumModule& wsm, ActivityStats& activity,
+             PartScratch& scratch) const;
+
+    /// The same tile, with its parts (massless ones dropped) appended to
+    /// `arena` in the order run() merges them.
     void run(const TileTask& tile, PartArena& arena, ActivityStats& activity,
              PartScratch& scratch) const;
 
@@ -71,7 +83,10 @@ public:
     int n() const { return q_->rows(); }
 
 private:
-    void execute(const TileTask& tile, PartArena& arena, ActivityStats& activity,
+    /// The body of both run()s. `sink` hands out a cleared part of width d
+    /// (take) and gets it back once it is built or found massless (put).
+    template <typename Sink>
+    void execute(const TileTask& tile, Sink& sink, ActivityStats& activity,
                  PartScratch& scratch, bool tiled) const;
     /// Stage every segment's K/V stream over the tile's active rows and
     /// compute its score band; returns the first active row.

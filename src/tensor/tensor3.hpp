@@ -2,6 +2,7 @@
 // attention inputs and outputs use this shape.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -17,6 +18,13 @@ public:
         SALO_EXPECTS(count >= 0);
         slices_.reserve(static_cast<std::size_t>(count));
         for (int i = 0; i < count; ++i) slices_.emplace_back(rows, cols);
+    }
+
+    /// Takes `slices` as the tensor's matrices (slice i = slices[i]); every
+    /// slice must have one shape.
+    explicit Tensor3(std::vector<Matrix<T>> slices) : slices_(std::move(slices)) {
+        for (const Matrix<T>& s : slices_)
+            SALO_EXPECTS(s.rows() == rows() && s.cols() == cols());
     }
 
     int count() const { return static_cast<int>(slices_.size()); }

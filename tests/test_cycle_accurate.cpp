@@ -47,9 +47,13 @@ struct Fixture {
 // at every kernel level the host runs (kernels::kernel_sets(); on the
 // avx512vnni level the multi-row tiles run on the tile path, elsewhere on
 // the row path). pe_cycles is accounted on the production side as the
-// engine does. Each level's WeightedSumModule then merges that level's
-// parts in schedule order, and its finalize_raw() must equal the scalar
-// level's bit for bit. The plans cover every segment layout the scheduler emits
+// engine does. The merged reference is the array's own parts merged in
+// schedule order by a scalar-level WeightedSumModule. Against it, at every
+// level, finalize_raw() must match bit for bit for both production merge
+// paths: the level's arena parts merged by a module on that level, and the
+// engine's merge-where-made path (TileExecutor::run into a module, parts
+// merged as each stage 5 finishes), whose activity counters must match the
+// array's too. The plans cover every segment layout the scheduler emits
 // (single, dilated, column-packed multi-segment), many globals, square and
 // non-square arrays, d = 8, 16, 64 and 128, a layer whose every
 // exponential underflows, and decode micro-plans (one query row against
@@ -77,11 +81,15 @@ void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std:
     const Reciprocal recip_unit;
     const CycleConfig ccfg;
     const CycleAccurateArray array(plan.geometry, ccfg, exp_unit, recip_unit, q, k, v);
+    const kernels::KernelSet& scalar_set = kernels::kernel_sets().back();
+    WeightedSumModule reference(q.rows(), q.cols(), recip_unit, scalar_set);
     std::vector<TileExecutor> execs;
-    std::vector<WeightedSumModule> wsms;
+    std::vector<WeightedSumModule> wsms;       // arena parts, merged after each tile
+    std::vector<WeightedSumModule> made_wsms;  // parts merged where made
     for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
         execs.emplace_back(exp_unit, recip_unit, q, k, v, ks);
         wsms.emplace_back(q.rows(), q.cols(), recip_unit, ks);
+        made_wsms.emplace_back(q.rows(), q.cols(), recip_unit, ks);
     }
     std::vector<TilePart> parts;
     PartArena arena;
@@ -91,6 +99,7 @@ void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std:
         ActivityStats a;
         parts.clear();
         array.run(tile, parts, a);
+        for (const TilePart& p : parts) reference.merge(p);
         for (std::size_t l = 0; l < execs.size(); ++l) {
             ActivityStats b;
             arena.reset();
@@ -106,12 +115,25 @@ void expect_production_matches_array(const SchedulePlan& plan, const Matrix<std:
             EXPECT_EQ(a.array_slots, b.array_slots) << where;
             EXPECT_EQ(a.pe_cycles, b.pe_cycles) << where;
             for (std::size_t i = 0; i < arena.used(); ++i) wsms[l].merge(arena.at(i));
+
+            ActivityStats c;
+            execs[l].run(tile, made_wsms[l], c, scratch);
+            EXPECT_EQ(a.mac_ops, c.mac_ops) << where << ", merged where made";
+            EXPECT_EQ(a.exp_ops, c.exp_ops) << where << ", merged where made";
+            EXPECT_EQ(a.valid_slots, c.valid_slots) << where << ", merged where made";
+            EXPECT_EQ(a.array_slots, c.array_slots) << where << ", merged where made";
         }
     }
-    const Matrix<std::int16_t> scalar = wsms.back().finalize_raw();  // scalar is last
-    for (std::size_t l = 0; l + 1 < wsms.size(); ++l)
-        EXPECT_TRUE(std::ranges::equal(wsms[l].finalize_raw().data(), scalar.data()))
-            << kernels::kernel_sets()[l].name << ": " << what << ", merged output";
+    const Matrix<std::int16_t> expected = reference.finalize_raw();
+    for (std::size_t l = 0; l < wsms.size(); ++l) {
+        const std::string where = std::string(kernels::kernel_sets()[l].name) + ": " + what;
+        EXPECT_EQ(wsms[l].merges(), reference.merges()) << where;
+        EXPECT_EQ(made_wsms[l].merges(), reference.merges()) << where << ", merged where made";
+        EXPECT_TRUE(std::ranges::equal(wsms[l].finalize_raw().data(), expected.data()))
+            << where << ", merged output";
+        EXPECT_TRUE(std::ranges::equal(made_wsms[l].finalize_raw().data(), expected.data()))
+            << where << ", output merged where made";
+    }
 }
 
 struct DatapathShape {

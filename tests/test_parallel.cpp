@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -12,12 +13,17 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "attention/streaming.hpp"
 #include "common/assert.hpp"
+#include "common/fault_injector.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "common/rng.hpp"
+#include "numeric/datapath.hpp"
 #include "numeric/quantize.hpp"
 #include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
@@ -107,6 +113,83 @@ TEST(ParallelEngine, SingleHeadRunAtEightLanesMatchesOneLane) {
     EXPECT_DOUBLE_EQ(max_abs_diff(seq.output, par.output), 0.0);
     EXPECT_EQ(seq.stats.cycles, par.stats.cycles);
     EXPECT_EQ(seq.stats.activity.mac_ops, par.stats.activity.mac_ops);
+}
+
+// -------------------------------------------------------------------------
+// Output construction under failure: each lane builds its heads' output
+// slices, so a run that throws part-way (cancelled mid-layer, or an
+// injected EngineFault) leaves nothing half-built behind. The next run()
+// on the same engine returns the full heads x n x d result, bit-identical
+// to the one-lane run, and run_step still returns heads x 1 x d.
+// -------------------------------------------------------------------------
+
+TEST(ParallelEngine, FailedRunsLeaveTheNextRunWhole) {
+    const auto workload = longformer_small(192, 16, 5, 16, 1);
+    const auto qkv = make_qkv(workload, 23);
+    const float scale = workload.scale();
+    const SaloEngine engine(config_with_threads(4));
+    const CompiledPlanPtr plan = engine.compile(workload.pattern, workload.head_dim);
+    const auto base = run_layer(config_with_threads(1), workload, qkv);
+    const auto expect_whole = [&](const char* what) {
+        const LayerResult r = engine.run(*plan, qkv.q, qkv.k, qkv.v, scale);
+        ASSERT_EQ(r.output.count(), workload.heads) << what;
+        ASSERT_EQ(r.output.rows(), workload.pattern.n()) << what;
+        ASSERT_EQ(r.output.cols(), workload.head_dim) << what;
+        expect_identical(base, r, what);
+    };
+
+    // Cancelled mid-layer: every head stalls at tile 5 until the token fires.
+    {
+        FaultInjector::Config c;
+        c.stall_tiles = {5};
+        c.stall_for = std::chrono::microseconds(10'000'000);
+        const FaultInjector stall(c);
+        RunOptions options;
+        options.cancel = CancellationToken::make();
+        options.fault_injector = &stall;
+        std::thread canceller([&] {
+            const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (stall.stalls_injected() == 0 && std::chrono::steady_clock::now() < give_up)
+                std::this_thread::yield();
+            options.cancel.request_cancel();
+        });
+        EXPECT_THROW(engine.run(*plan, qkv.q, qkv.k, qkv.v, scale, options), RequestCancelled);
+        canceller.join();
+        EXPECT_GE(stall.tiles_seen(), 6u);  // it got past tile 0 first
+    }
+    expect_whole("after a cancelled run");
+
+    // An EngineFault from the injector at tile 3 of every head.
+    {
+        FaultInjector::Config c;
+        c.fault_tiles = {3};
+        const FaultInjector fault(c);
+        RunOptions options;
+        options.fault_injector = &fault;
+        EXPECT_THROW(engine.run(*plan, qkv.q, qkv.k, qkv.v, scale, options), EngineFault);
+        EXPECT_GE(fault.faults_injected(), 1u);
+    }
+    expect_whole("after an EngineFault");
+
+    // A decode step on the same engine still returns heads x 1 x d.
+    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
+    const int heads = 3, d = 16;
+    QuantizedDecodeState state(heads, d, decode_window_span(bands), {0});
+    Rng rng(31);
+    for (int t = 0; t < 12; ++t) state.append(random_matrix(heads, d, rng),
+                                              random_matrix(heads, d, rng));
+    const CompiledPlanPtr micro = engine.compile_step(HybridPattern(12, bands, {0}), d);
+    const auto [k, v] = state.assemble();
+    const Matrix<float> q_row = random_matrix(heads, d, rng);
+    const StepResult step = engine.run_step(*micro, q_row, k, v, 0.25f);
+    EXPECT_EQ(step.output.count(), heads);
+    EXPECT_EQ(step.output.rows(), 1);
+    EXPECT_EQ(step.output.cols(), d);
+    RunOptions one_lane;
+    one_lane.thread_budget = 1;
+    const StepResult seq = engine.run_step(*micro, q_row, k, v, 0.25f, one_lane);
+    for (int h = 0; h < heads; ++h)
+        EXPECT_DOUBLE_EQ(max_abs_diff(step.output[h], seq.output[h]), 0.0) << "head " << h;
 }
 
 // -------------------------------------------------------------------------
@@ -377,17 +460,30 @@ TEST(Kernels, RoundShiftAndMixMatchScalar) {
             EXPECT_EQ(got, want) << ks.name << ": round_shift count=" << count;
         }
     }
-    // d = 20 leaves a 4-element tail after the 8-wide lanes.
+    // d = 20 leaves a 4-element tail after the 8-wide lanes. The weights
+    // span [0, 2^sprime_frac] and the running outputs the whole int32 range
+    // (signed 32 x 32 -> 64-bit products).
+    const std::uint32_t one = std::uint32_t{1} << Datapath::sprime_frac;
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> weights = {
+        {20000, 12768}, {one, 0}, {0, one}, {one / 2, one / 2}, {1, one - 1}};
     for (const int d : {8, 20, 64}) {
-        std::vector<std::int32_t> out(static_cast<std::size_t>(d)), in(out.size());
-        for (auto& x : out) x = static_cast<std::int32_t>(rng.uniform_index(1 << 20)) - (1 << 19);
-        for (auto& x : in) x = static_cast<std::int32_t>(rng.uniform_index(1 << 20)) - (1 << 19);
-        std::vector<std::int32_t> want = out;
-        scalar_set().mix(want.data(), in.data(), 20000, 12768, d);
-        for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
-            std::vector<std::int32_t> got = out;
-            ks.mix(got.data(), in.data(), 20000, 12768, d);
-            EXPECT_EQ(got, want) << ks.name << ": mix d=" << d;
+        for (const bool full_range : {false, true}) {
+            std::vector<std::int32_t> out(static_cast<std::size_t>(d)), in(out.size());
+            for (auto* xs : {&out, &in})
+                for (auto& x : *xs)
+                    x = full_range ? static_cast<std::int32_t>(rng.next_u64())
+                                   : static_cast<std::int32_t>(rng.uniform_index(1 << 20)) -
+                                         (1 << 19);
+            for (const auto& [a, b] : weights) {
+                std::vector<std::int32_t> want = out;
+                scalar_set().mix(want.data(), in.data(), a, b, d);
+                for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+                    std::vector<std::int32_t> got = out;
+                    ks.mix(got.data(), in.data(), a, b, d);
+                    EXPECT_EQ(got, want) << ks.name << ": mix d=" << d << ", a=" << a
+                                         << ", b=" << b << (full_range ? ", full range" : "");
+                }
+            }
         }
     }
 }
