@@ -72,10 +72,10 @@ struct SaloConfig {
     std::shared_ptr<const FaultInjector> fault_injector;
 
     /// The engine's plan cache. Null (the default): the engine builds its
-    /// own of plan_cache_capacity. A serving tier (core/tier.hpp) gives
-    /// every shard one cache — this one when set, else one it builds — so
-    /// the tier compiles each shape and derives each decode step once.
-    /// Tiers and engines given the same cache share it too.
+    /// own of plan_cache_capacity. A serving tier (core/tier.hpp) sets one
+    /// cache here for every shard, so the tier compiles each shape and
+    /// derives each decode step once; a config handed to a tier must leave
+    /// it null (the tier rejects one that does not).
     std::shared_ptr<PlanCache> shared_plan_store;
 
     /// Reject nonsensical values (zero geometry, non-positive bandwidth,

@@ -7,7 +7,6 @@
 #include "attention/golden.hpp"
 #include "numeric/quantize.hpp"
 #include "sim/cycle_accurate.hpp"
-#include "sim/part_builder.hpp"
 #include "sim/tile_costs.hpp"
 #include "sim/tile_executor.hpp"
 #include "sim/wsm.hpp"
@@ -27,23 +26,6 @@ void expect_head_shapes(const CompiledPlan& plan, const Matrix<float>& q,
 }
 
 }  // namespace
-
-/// One thread's functional-head buffers: the quantized Q/K/V, the
-/// weighted-sum state and the executor scratch.
-struct SaloEngine::HeadBuffers {
-    Matrix<std::int8_t> q, k, v;           ///< quantized at the accelerator boundary
-    std::optional<WeightedSumModule> wsm;  ///< reset for every head
-    PartScratch scratch;
-};
-
-SaloEngine::HeadBuffers& SaloEngine::thread_buffers() {
-    // Per thread, so lanes never share or wait for them; a thread runs one
-    // head at a time. Reusing them keeps a lane's working set resident
-    // across heads and calls instead of freed, trimmed by the allocator and
-    // faulted in again.
-    thread_local HeadBuffers buffers;
-    return buffers;
-}
 
 SaloEngine::SaloEngine() : SaloEngine(SaloConfig{}) {}
 
@@ -121,74 +103,59 @@ HeadResult SaloEngine::run_one_head(const CompiledPlan& plan, const Matrix<float
             });
             return result;
         }
+        return run_one_head(plan, q, quantize<InputFx>(k), quantize<InputFx>(v), scale,
+                            fidelity, ctl);
     } else {
         // The golden oracle is float attention; quantized K/V cannot feed it.
         SALO_EXPECTS(fidelity != Fidelity::kGolden);
-    }
-    // Quantize at the accelerator boundary. The 1/sqrt(d) scaling belongs
-    // to Q on the host side, before the array; the quantizer applies it on
-    // the fly instead of scaling a copy of Q. Quantization is elementwise,
-    // so a step's query row and compact K/V rows quantize to exactly the
-    // bits the full-prefix run produces for those rows. Float K/V are
-    // quantized here; int8 K/V already hold the InputFx raw values.
-    HeadBuffers& buffers = thread_buffers();
-    quantize_input(q, scale, buffers.q);
-    if constexpr (std::is_same_v<T, float>) {
-        quantize_input(k, 1.0f, buffers.k);
-        quantize_input(v, 1.0f, buffers.v);
-        return run_datapath(plan, buffers.k, buffers.v, fidelity, ctl, buffers);
-    } else {
-        return run_datapath(plan, k, v, fidelity, ctl, buffers);
-    }
-}
-
-HeadResult SaloEngine::run_datapath(const CompiledPlan& plan, const Matrix<std::int8_t>& k,
-                                    const Matrix<std::int8_t>& v, Fidelity fidelity,
-                                    const RunControl* ctl, HeadBuffers& buffers) const {
-    const Matrix<std::int8_t>& qq = buffers.q;
-    const int d = qq.cols();
-    const SchedulePlan& schedule = plan.plan();
-    HeadResult result;
-    SimStats& stats = result.stats;
-    if (buffers.wsm)
-        buffers.wsm->reset(qq.rows(), d, recip_unit_);
-    else
-        buffers.wsm.emplace(qq.rows(), d, recip_unit_);
-    WeightedSumModule& wsm = *buffers.wsm;
-    // Tiles are accounted strictly in schedule order: the double-buffered
-    // load overlap and the inter-tile stage-3 pipelining both depend on the
-    // previous tile.
-    TileCostAccountant accountant(config_.tile_cost_params(d));
-    const TileExecutor exec(exp_unit_, recip_unit_, qq, k, v);
-    std::optional<CycleAccurateArray> array;
-    if (fidelity == Fidelity::kCycleAccurate)
-        array.emplace(config_.geometry, config_.cycle_config(), exp_unit_, recip_unit_, qq, k,
-                      v);
-    std::vector<TilePart> parts;
-    const int num_tiles = static_cast<int>(schedule.tiles.size());
-    for (int t = 0; t < num_tiles; ++t) {
-        if (ctl != nullptr) ctl->check(t);
-        const TileTask& tile = schedule.tiles[static_cast<std::size_t>(t)];
-        const TileCostAccountant::Step step = accountant.account(tile);
-        stats.cycles += step.cycles;
-        ++stats.tiles;
-        for (int s = 0; s < 5; ++s) stats.stage_totals.stage[s] += step.cost.breakdown.stage[s];
-        if (array) {
-            // The array measures its own pe_cycles.
-            parts.clear();
-            array->run(tile, parts, stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
-        } else {
-            // Each part merges the moment its stage 5 finishes.
-            exec.run(tile, wsm, stats.activity, buffers.scratch);
-            stats.activity.pe_cycles += static_cast<std::int64_t>(tile.rows()) * tile.cols() *
-                                        step.cost.compute_cycles;
+        // Quantize at the accelerator boundary. The 1/sqrt(d) scaling belongs
+        // to Q on the host side, before the array; the quantizer applies it
+        // on the fly instead of scaling a copy of Q. Quantization is
+        // elementwise, so a step's query row and compact K/V rows quantize
+        // to exactly the bits the full-prefix run produces for those rows.
+        const Matrix<std::int8_t> qq = quantize_input(q, scale);
+        const int d = qq.cols();
+        const SchedulePlan& schedule = plan.plan();
+        HeadResult result;
+        SimStats& stats = result.stats;
+        WeightedSumModule wsm(qq.rows(), d, recip_unit_);
+        // Tiles are accounted strictly in schedule order: the double-buffered
+        // load overlap and the inter-tile stage-3 pipelining both depend on
+        // the previous tile.
+        TileCostAccountant accountant(config_.tile_cost_params(d));
+        const TileExecutor exec(exp_unit_, recip_unit_, qq, k, v);
+        std::optional<CycleAccurateArray> array;
+        if (fidelity == Fidelity::kCycleAccurate)
+            array.emplace(config_.geometry, config_.cycle_config(), exp_unit_, recip_unit_, qq,
+                          k, v);
+        PartScratch scratch;
+        std::vector<TilePart> parts;
+        const int num_tiles = static_cast<int>(schedule.tiles.size());
+        for (int t = 0; t < num_tiles; ++t) {
+            if (ctl != nullptr) ctl->check(t);
+            const TileTask& tile = schedule.tiles[static_cast<std::size_t>(t)];
+            const TileCostAccountant::Step step = accountant.account(tile);
+            stats.cycles += step.cycles;
+            ++stats.tiles;
+            for (int s = 0; s < 5; ++s)
+                stats.stage_totals.stage[s] += step.cost.breakdown.stage[s];
+            if (array) {
+                // The array measures its own pe_cycles.
+                parts.clear();
+                array->run(tile, parts, stats.activity);
+                for (const TilePart& p : parts) wsm.merge(p);
+            } else {
+                // Each part merges the moment its stage 5 finishes.
+                exec.run(tile, wsm, stats.activity, scratch);
+                stats.activity.pe_cycles += static_cast<std::int64_t>(tile.rows()) *
+                                            tile.cols() * step.cost.compute_cycles;
+            }
         }
+        // The head's output slice is allocated and written here, on its lane.
+        result.output = Matrix<float>(qq.rows(), d);
+        wsm.finalize_into(result.output);
+        return result;
     }
-    // The head's output slice is allocated and written here, on its lane.
-    result.output = Matrix<float>(qq.rows(), d);
-    wsm.finalize_into(result.output);
-    return result;
 }
 
 template <typename RunHead>

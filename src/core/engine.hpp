@@ -226,11 +226,6 @@ private:
     /// injector as the fallback.
     RunControl run_control(const RunOptions& options) const;
 
-    /// The functional head path's large buffers (engine.cpp).
-    struct HeadBuffers;
-    /// The calling thread's HeadBuffers, reused by every head it runs.
-    static HeadBuffers& thread_buffers();
-
     /// One head of `plan`: the golden oracle, or quantize at the accelerator
     /// boundary and run the sequential tile loop. q is the plan's query rows
     /// (all n for a layer, the one step row for a micro-plan); float K/V are
@@ -240,13 +235,6 @@ private:
     HeadResult run_one_head(const CompiledPlan& plan, const Matrix<float>& q,
                             const Matrix<T>& k, const Matrix<T>& v, float scale,
                             Fidelity fidelity, const RunControl* ctl) const;
-
-    /// The sequential tile loop of one head, its quantized Q in buffers.q:
-    /// every part merges into buffers.wsm where it is made, then the head's
-    /// output slice is finalized on this lane.
-    HeadResult run_datapath(const CompiledPlan& plan, const Matrix<std::int8_t>& k,
-                            const Matrix<std::int8_t>& v, Fidelity fidelity,
-                            const RunControl* ctl, HeadBuffers& buffers) const;
 
     /// Runs `run_one(h) -> HeadResult` for every head — one whole head per
     /// pool task when `thread_budget` allows more than one lane and there

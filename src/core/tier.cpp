@@ -113,13 +113,13 @@ ServingTier::ServingTier(
     const SaloConfig& config, int num_shards,
     const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
     const HealthPolicy& health, bool steps)
-    : plan_cache_(config.shared_plan_store
-                      ? config.shared_plan_store
-                      : std::make_shared<PlanCache>(static_cast<std::size_t>(
-                            std::max(1, config.plan_cache_capacity)))),
+    : plan_cache_(std::make_shared<PlanCache>(
+          static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)))),
       health_(std::max(1, num_shards), health),
       ledger_(steps) {
     SALO_EXPECTS(num_shards >= 1);
+    // The tier sets this field for its shards; a caller's cache would be lost.
+    SALO_EXPECTS(config.shared_plan_store == nullptr);
     shards_.reserve(static_cast<std::size_t>(num_shards));
     for (std::size_t i = 0; i < static_cast<std::size_t>(num_shards); ++i) {
         SaloConfig shard_config = config;

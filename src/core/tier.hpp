@@ -208,8 +208,8 @@ protected:
 
     /// Builds the shard set: shard i runs `config` with
     /// shard_fault_injectors[i] (when present and non-null) and the tier's
-    /// one plan cache: config.shared_plan_store when set, else a new one of
-    /// config.plan_cache_capacity.
+    /// one plan cache of config.plan_cache_capacity. config.shared_plan_store
+    /// must be null (the tier fills it in for every shard).
     ServingTier(const SaloConfig& config, int num_shards,
                 const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
                 const HealthPolicy& health, bool steps);

@@ -12,21 +12,13 @@
 
 namespace salo {
 
-/// InputFx raw values of float(v * scale) for every element v of `m`, into
-/// `out` (reshaped to m's shape; its storage is reused when the shape already
-/// matches): the accelerator's input quantizer with the host-side 1/sqrt(d)
-/// prescale fused in. Bit-identical to InputFx::from_float(v * scale) per
-/// element (the dispatched level's quantize kernel).
-inline void quantize_input(const Matrix<float>& m, float scale, Matrix<std::int8_t>& out) {
-    if (out.rows() != m.rows() || out.cols() != m.cols())
-        out = Matrix<std::int8_t>(m.rows(), m.cols());
-    kernels::dispatched().quantize(m.data().data(), m.size(), scale, out.data().data());
-}
-
-/// The same, into a new matrix.
+/// InputFx raw values of float(v * scale) for every element v of `m`: the
+/// accelerator's input quantizer with the host-side 1/sqrt(d) prescale
+/// fused in. Bit-identical to InputFx::from_float(v * scale) per element (the
+/// dispatched level's quantize kernel).
 inline Matrix<std::int8_t> quantize_input(const Matrix<float>& m, float scale) {
-    Matrix<std::int8_t> out;
-    quantize_input(m, scale, out);
+    Matrix<std::int8_t> out(m.rows(), m.cols());
+    kernels::dispatched().quantize(m.data().data(), m.size(), scale, out.data().data());
     return out;
 }
 

@@ -23,20 +23,11 @@ std::uint32_t normalize_weight(SumRaw w, InvRaw inv) {
 
 WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit,
                                      const kernels::KernelSet& kernel_set)
-    : mix_(kernel_set.mix) {
-    reset(n, d, recip_unit);
-}
-
-void WeightedSumModule::reset(int n, int d, const Reciprocal& recip_unit) {
+    : recip_unit_(&recip_unit), mix_(kernel_set.mix), n_(n), d_(d),
+      weight_(static_cast<std::size_t>(n), 0),
+      out_q_(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0),
+      initialized_(static_cast<std::size_t>(n), 0) {
     SALO_EXPECTS(n >= 1 && d >= 1);
-    recip_unit_ = &recip_unit;
-    n_ = n;
-    d_ = d;
-    weight_.assign(static_cast<std::size_t>(n), 0);
-    initialized_.assign(static_cast<std::size_t>(n), 0);
-    // A query's first merge overwrites its row, so no row needs clearing.
-    out_q_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
-    merges_ = 0;
 }
 
 void WeightedSumModule::merge(const TilePart& part) {
@@ -66,14 +57,6 @@ void WeightedSumModule::merge(const TilePart& part) {
 void WeightedSumModule::finalize_into(Matrix<float>& out) const {
     SALO_EXPECTS(out.rows() == n_ && out.cols() == d_);
     constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;  // 8
-    constexpr std::int32_t half = std::int32_t{1} << (shift - 1);
-    constexpr auto lo = static_cast<std::int32_t>(OutputFx::raw_min);
-    constexpr auto hi = static_cast<std::int32_t>(OutputFx::raw_max);
-    // Every running output past +-bound saturates, so clamping there first
-    // keeps the int32 rounding below free of overflow (and of negating
-    // INT32_MIN) without changing a single result.
-    constexpr std::int32_t bound = (hi + 2) << shift;
-    constexpr float step = 1.0f / (1 << Datapath::out_frac);  // exact: r * step == r / 256
     const auto d = static_cast<std::size_t>(d_);
     const std::int32_t* src = out_q_.data();
     float* dst = out.data().data();
@@ -82,19 +65,23 @@ void WeightedSumModule::finalize_into(Matrix<float>& out) const {
             std::fill_n(dst, d, 0.0f);
             continue;
         }
-        for (std::size_t t = 0; t < d; ++t) {
-            const std::int32_t v = std::clamp(src[t], -bound, bound);
-            const std::int32_t r = v >= 0 ? (v + half) >> shift : -((-v + half) >> shift);
-            dst[t] = static_cast<float>(std::clamp(r, lo, hi)) * step;
-        }
+        for (std::size_t t = 0; t < d; ++t)
+            dst[t] = OutputFx::from_raw(round_shift(src[t], shift)).to_float();
     }
 }
 
 Matrix<std::int16_t> WeightedSumModule::finalize_raw() const {
-    // Exact: every finalized value is a Q7.8 raw times 2^-out_frac.
-    return finalize().map<std::int16_t>([](float x) {
-        return static_cast<std::int16_t>(x * static_cast<float>(1 << Datapath::out_frac));
-    });
+    Matrix<std::int16_t> out(n_, d_, 0);
+    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;  // 8
+    for (int i = 0; i < n_; ++i) {
+        if (!initialized_[static_cast<std::size_t>(i)]) continue;
+        const std::int32_t* src =
+            &out_q_[static_cast<std::size_t>(i) * static_cast<std::size_t>(d_)];
+        for (int t = 0; t < d_; ++t)
+            out(i, t) = static_cast<std::int16_t>(
+                OutputFx::from_raw(round_shift(src[t], shift)).raw());
+    }
+    return out;
 }
 
 Matrix<float> WeightedSumModule::finalize() const {

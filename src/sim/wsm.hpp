@@ -31,10 +31,6 @@ public:
     WeightedSumModule(int n, int d, const Reciprocal& recip_unit,
                       const kernels::KernelSet& kernel_set = kernels::dispatched());
 
-    /// Forget every merged part: the module is then as if newly built for
-    /// n queries x head dimension d on `recip_unit`, and reuses its storage.
-    void reset(int n, int d, const Reciprocal& recip_unit);
-
     /// Merge one part into the running output of part.query (Eq. 2).
     ///
     /// The merge *order within one query* determines the rounded result;
@@ -45,10 +41,9 @@ public:
     /// Number of parts merged so far (diagnostics).
     std::int64_t merges() const { return merges_; }
 
-    /// Final outputs dequantized to float, written once into `out` (n x d):
-    /// each running output is rounded by wsm_frac - out_frac bits (ties
-    /// away from zero), saturated to the 16-bit Q7.8 output format and
-    /// scaled to float. Queries never merged read 0.
+    /// finalize(), written into `out` (n x d) in one pass with no
+    /// temporaries: each running output is rounded by wsm_frac - out_frac
+    /// bits, saturated to Q7.8 and scaled. Queries never merged read 0.
     void finalize_into(Matrix<float>& out) const;
 
     /// Final outputs as raw 16-bit Q7.8 (the accelerator's output format).
@@ -58,13 +53,12 @@ public:
     Matrix<float> finalize() const;
 
 private:
-    const Reciprocal* recip_unit_ = nullptr;
+    const Reciprocal* recip_unit_;
     kernels::MixFn mix_;  ///< the kernel set's, resolved once
-    int n_ = 0;
-    int d_ = 0;
+    int n_;
+    int d_;
     std::vector<SumRaw> weight_;                ///< running W per query
     std::vector<std::int32_t> out_q_;           ///< running outputs, Q.wsm_frac
-    /// Whether query i has merged a part; until then its out_q_ row is stale.
     std::vector<std::uint8_t> initialized_;
     std::int64_t merges_ = 0;
 };

@@ -802,27 +802,15 @@ TEST(TenantFairness, TierStatsCountSharedStoreCompiles) {
     EXPECT_EQ(tier.stats().plan_cache.compiles, 1u);
 }
 
-TEST(TenantFairness, TiersHandedOneCacheCompileAShapeOnce) {
-    // A cache the caller sets in SaloConfig::shared_plan_store is the
-    // tier's one cache, not replaced by a new one: two tiers handed the
-    // same cache compile a shape once between them.
-    const Work work;
+TEST(TenantFairness, TierRejectsACallersPlanCache) {
+    // The tier fills SaloConfig::shared_plan_store in for its shards; a
+    // cache the caller set there would be dropped, so it is refused.
     SaloConfig config = serving_config(1);
-    const auto cache = std::make_shared<PlanCache>(8);
-    config.shared_plan_store = cache;
+    config.shared_plan_store = std::make_shared<PlanCache>(8);
     ShardedSessionOptions options;
     options.num_shards = 2;
-    ShardedSession a(config, options);
-    ShardedSession b(config, options);
-    EXPECT_EQ(a.submit(work.request()).get().output.count(), 1);
-    EXPECT_EQ(b.submit(work.request()).get().output.count(), 1);
-    a.close();
-    b.close();
-
-    EXPECT_EQ(cache->stats().misses, 1u);
-    EXPECT_EQ(cache->stats().compiles, 1u);
-    EXPECT_EQ(a.stats().plan_cache.misses, 1u);
-    EXPECT_EQ(b.stats().plan_cache.misses, 1u) << "tier b reports another cache";
+    EXPECT_THROW({ ShardedSession tier(config, options); }, ContractViolation);
+    EXPECT_THROW({ DecodeSession tier(config); }, ContractViolation);
 }
 
 TEST(ShardedSession, DegradedTierShedsEarlier) {

@@ -6,8 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -142,171 +140,54 @@ TEST(WeightedSum, FinalizeRawIs16Bit) {
     EXPECT_NEAR(static_cast<double>(raw(0, 0)) / 256.0, 3.141, 1e-2);
 }
 
-// -------------------------------------------------------------------------
-// The one-pass finalize_into() against the two-step emission (finalize_raw()
-// then OutputFx::to_float), bit for bit, at every kernel level. A query
-// merged once holds its part's out_q verbatim, so those rows also have an
-// independent reference: round_shift by wsm_frac - out_frac, saturate to
-// Q7.8, dequantize.
-// -------------------------------------------------------------------------
-
-constexpr int kFinalShift = Datapath::wsm_frac - Datapath::out_frac;
-
-/// The emission of one running output held verbatim (a query merged once).
-float reference_output(std::int32_t running) {
-    return OutputFx::from_raw(round_shift(running, kFinalShift)).to_float();
-}
-
-TilePart raw_part(int query, SumRaw weight, std::vector<std::int32_t> out_q) {
-    TilePart part;
-    part.query = query;
-    part.weight = weight;
-    part.out_q = std::move(out_q);
-    return part;
-}
-
-/// finalize_into() equals finalize_raw() + to_float and finalize(), bit for bit.
-void expect_one_pass_matches_two_step(const WeightedSumModule& wsm, int n, int d,
-                                      const std::string& what) {
-    Matrix<float> one_pass(n, d, -1.0f);
-    wsm.finalize_into(one_pass);
-    const Matrix<std::int16_t> raw = wsm.finalize_raw();
-    const Matrix<float> wrapped = wsm.finalize();
-    for (int i = 0; i < n; ++i)
-        for (int t = 0; t < d; ++t) {
-            const float two_step = OutputFx::from_raw(raw(i, t)).to_float();
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(one_pass(i, t)),
-                      std::bit_cast<std::uint32_t>(two_step))
-                << what << ", row " << i << ", dim " << t;
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(wrapped(i, t)),
-                      std::bit_cast<std::uint32_t>(two_step))
-                << what << ", finalize(), row " << i << ", dim " << t;
-        }
-}
-
-TEST(WeightedSum, OnePassFinalizeMatchesTwoStepOnRandomStates) {
+TEST(WeightedSum, FinalizeIntoMatchesFinalizeRaw) {
+    // finalize_into() is finalize_raw() dequantized, bit for bit, at every
+    // kernel level: on random merged states, on rows held verbatim (merged
+    // once) at the rounding ties, past the +-128 Q7.8 saturation and at the
+    // int32 ends, and on rows never merged (they read 0).
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    const std::vector<std::int32_t> edges = {
+        0, 127, 128, -128, -129, 384, 32767 << 8, (32767 << 8) + 128, -(1 << 23), 1 << 30,
+        kMax, kMin};
+    const int d = static_cast<int>(edges.size());
+    const int n = 12;  // rows 0-7 random, 8 edges, 9 edges negated, 10-11 never merged
     const Reciprocal recip;
-    const int n = 24, d = 20;  // d not a multiple of any vector width
     for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
         Rng rng(17);
         WeightedSumModule wsm(n, d, recip, ks);
-        std::vector<std::vector<std::int32_t>> once(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            // Rows 0..7 merge once; the rest 2..6 times.
-            const int merges = i < 8 ? 1 : 2 + static_cast<int>(rng.uniform(0.0, 5.0));
-            for (int m = 0; m < merges; ++m) {
-                std::vector<std::int32_t> out_q;
-                for (int t = 0; t < d; ++t)
-                    out_q.push_back(static_cast<std::int32_t>(
-                        std::llround(rng.uniform(-140.0, 140.0) * kWsmScale)));
-                if (m == 0) once[static_cast<std::size_t>(i)] = out_q;
-                wsm.merge(raw_part(i, static_cast<SumRaw>(rng.uniform(1.0, 1e6)), out_q));
-            }
-        }
-        const std::string what = std::string(ks.name) + ": random states";
-        expect_one_pass_matches_two_step(wsm, n, d, what);
-        Matrix<float> out(n, d);
-        wsm.finalize_into(out);
         for (int i = 0; i < 8; ++i)
-            for (int t = 0; t < d; ++t)
-                EXPECT_EQ(std::bit_cast<std::uint32_t>(out(i, t)),
-                          std::bit_cast<std::uint32_t>(reference_output(
-                              once[static_cast<std::size_t>(i)][static_cast<std::size_t>(t)])))
-                    << what << ", row " << i << ", dim " << t;
-    }
-}
+            for (int m = 0; m < 1 + i % 4; ++m) {
+                TilePart part;
+                part.query = i;
+                part.weight = static_cast<SumRaw>(rng.uniform(1.0, 1e6));
+                for (int t = 0; t < d; ++t)
+                    part.out_q.push_back(static_cast<std::int32_t>(
+                        std::llround(rng.uniform(-140.0, 140.0) * kWsmScale)));
+                wsm.merge(part);
+            }
+        TilePart part;
+        part.query = 8;
+        part.weight = 1;
+        part.out_q = edges;
+        wsm.merge(part);
+        part.query = 9;
+        for (std::int32_t& v : part.out_q) v = v == kMin ? kMax : -v;
+        wsm.merge(part);
 
-TEST(WeightedSum, OnePassFinalizeSaturatesAndRoundsLikeTwoStep) {
-    // Running outputs around the rounding ties, the Q7.8 saturation
-    // boundary (+-128) and the int32 ends, each held verbatim by a query
-    // merged once.
-    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
-    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
-    constexpr std::int32_t kTop = 32767 << kFinalShift;  // largest unsaturated raw
-    const std::vector<std::int32_t> values = {
-        0, 1, 127, 128, 129, 383, 384, -1, -127, -128, -129, -384,
-        kTop, kTop + 127, kTop + 128, kTop + 255, kTop + 256, 1 << 23, (1 << 23) + 1,
-        -kTop - 256, -kTop - 256 - 127, -kTop - 256 - 128, -kTop - 256 - 129,
-        -(1 << 23), -(1 << 23) - 1, 1 << 30, -(1 << 30),
-        kMax, kMax - 1, kMax - 127, kMax - 128, kMin, kMin + 1, kMin + 127, kMin + 128};
-    const int d = static_cast<int>(values.size());
-    const Reciprocal recip;
-    for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
-        // Rows 0 and 2 hold the values and their reversal; row 1 is the
-        // negation (INT32_MIN saturates to INT32_MAX).
-        WeightedSumModule wsm(3, d, recip, ks);
-        std::vector<std::int32_t> negated, reversed(values.rbegin(), values.rend());
-        for (const std::int32_t v : values) negated.push_back(v == kMin ? kMax : -v);
-        wsm.merge(raw_part(0, 1, values));
-        wsm.merge(raw_part(1, 1, negated));
-        wsm.merge(raw_part(2, 1, reversed));
-        const std::string what = std::string(ks.name) + ": saturating rows";
-        expect_one_pass_matches_two_step(wsm, 3, d, what);
-        Matrix<float> out(3, d);
-        wsm.finalize_into(out);
-        for (int t = 0; t < d; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            EXPECT_EQ(out(0, t), reference_output(values[i])) << what << ", value " << values[i];
-            EXPECT_EQ(out(1, t), reference_output(negated[i])) << what << ", value " << negated[i];
-            EXPECT_EQ(out(2, t), reference_output(reversed[i])) << what << ", value " << reversed[i];
-        }
-        // Spot values: ties round away from zero; +-128 and beyond saturate.
-        EXPECT_EQ(out(0, 3), 1.0f / 256);                     // 128 -> 1
-        EXPECT_EQ(out(0, 9), -1.0f / 256);                    // -128 -> -1
-        EXPECT_EQ(out(0, 2), 0.0f);                           // 127 -> 0
-        EXPECT_EQ(out(0, 14), 32767.0f / 256);                // kTop + 128 saturates
-        EXPECT_EQ(out(0, d - 4), -128.0f);                    // INT32_MIN
-        EXPECT_EQ(out(0, d - 8), 32767.0f / 256);             // INT32_MAX
-    }
-}
-
-TEST(WeightedSum, OnePassFinalizeReadsZeroForRowsNeverMerged) {
-    const Reciprocal recip;
-    const int n = 6, d = 9;
-    for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
-        WeightedSumModule wsm(n, d, recip, ks);
-        wsm.merge(raw_part(1, 5, std::vector<std::int32_t>(d, 1 << 20)));
-        wsm.merge(raw_part(4, 0, std::vector<std::int32_t>(d, 1 << 20)));  // massless
-        const std::string what = std::string(ks.name) + ": rows never merged";
-        expect_one_pass_matches_two_step(wsm, n, d, what);
         Matrix<float> out(n, d, 7.0f);  // stale contents are overwritten
         wsm.finalize_into(out);
+        const Matrix<std::int16_t> raw = wsm.finalize_raw();
         for (int i = 0; i < n; ++i)
             for (int t = 0; t < d; ++t)
-                EXPECT_EQ(std::bit_cast<std::uint32_t>(out(i, t)),
-                          std::bit_cast<std::uint32_t>(i == 1 ? 16.0f : 0.0f))
-                    << what << ", row " << i;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(out(i, t)),
+                          std::bit_cast<std::uint32_t>(OutputFx::from_raw(raw(i, t)).to_float()))
+                    << ks.name << ", row " << i << ", dim " << t;
+        EXPECT_EQ(out(10, 0), 0.0f);
+        EXPECT_EQ(wsm.finalize(), out);
         Matrix<float> wrong(n, d + 1);
         EXPECT_THROW(wsm.finalize_into(wrong), ContractViolation);
     }
-}
-
-TEST(WeightedSum, ResetIsANewModule) {
-    // A reset module reuses its storage; rows merged before the reset but
-    // not after it must read 0, exactly as in a new module.
-    const Reciprocal recip;
-    Rng rng(41);
-    const auto random_part = [&](int query, int d) {
-        std::vector<std::int32_t> out_q;
-        for (int t = 0; t < d; ++t)
-            out_q.push_back(static_cast<std::int32_t>(rng.uniform(-1e6, 1e6)));
-        return raw_part(query, static_cast<SumRaw>(rng.uniform(1.0, 1e5)), out_q);
-    };
-    WeightedSumModule reused(8, 6, recip);
-    for (int i = 0; i < 8; ++i) reused.merge(random_part(i, 6));
-    for (const auto& [n, d] : {std::pair{5, 6}, std::pair{3, 11}, std::pair{9, 4}}) {
-        reused.reset(n, d, recip);
-        WeightedSumModule fresh(n, d, recip);
-        for (int p = 0; p < 6; ++p) {
-            const TilePart part = random_part(p % 2 == 0 ? 1 : n - 1, d);
-            reused.merge(part);
-            fresh.merge(part);
-        }
-        EXPECT_EQ(reused.merges(), fresh.merges());
-        EXPECT_EQ(reused.finalize_raw(), fresh.finalize_raw()) << n << " x " << d;
-        EXPECT_EQ(reused.finalize(), fresh.finalize()) << n << " x " << d;
-    }
-    EXPECT_THROW(reused.reset(0, 4, recip), ContractViolation);
 }
 
 }  // namespace
