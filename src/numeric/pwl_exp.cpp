@@ -9,10 +9,31 @@ namespace salo {
 
 PwlExp::PwlExp() : PwlExp(Config{}) {}
 
+namespace {
+/// y = x * log2(e) at Q.16, as exp_raw computes it.
+std::int64_t y_of(std::int64_t x) { return (x * detail::kLog2eQ16) >> (24 - detail::kYFrac); }
+
+/// floor(a / b) for b > 0.
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+    return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+}  // namespace
+
 PwlExp::PwlExp(const Config& config) : config_(config) {
     SALO_EXPECTS(config_.seg_bits >= 0 && config_.seg_bits <= 10);
     SALO_EXPECTS(config_.lut_frac > 0 && config_.lut_frac <= 20);
     SALO_EXPECTS(config_.y_min < 0 && config_.y_max > 0 && config_.y_max < 17);
+    // y(x) = floor(x * K / 2^8) with K = log2(e) at Q.16, so y(x) <= Y iff
+    // x * K <= (Y + 1) * 2^8 - 1, and y(x) >= Y iff x * K >= Y * 2^8.
+    constexpr int kMulShift = 24 - detail::kYFrac;
+    const std::int64_t y_lo = static_cast<std::int64_t>(config_.y_min) << detail::kYFrac;
+    const std::int64_t y_hi = static_cast<std::int64_t>(config_.y_max) << detail::kYFrac;
+    x_lo_ = static_cast<ScoreRaw>(
+        floor_div(((y_lo + 1) << kMulShift) - 1, detail::kLog2eQ16));
+    x_hi_ = static_cast<ScoreRaw>(
+        -floor_div(-(y_hi << kMulShift), detail::kLog2eQ16));
+    SALO_ENSURES(y_of(x_lo_) <= y_lo && y_of(x_lo_ + std::int64_t{1}) > y_lo);
+    SALO_ENSURES(y_of(x_hi_) >= y_hi && y_of(x_hi_ - std::int64_t{1}) < y_hi);
     const int n = 1 << config_.seg_bits;
     slope_q_.resize(static_cast<std::size_t>(n));
     icept_q_.resize(static_cast<std::size_t>(n));

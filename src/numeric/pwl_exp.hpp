@@ -58,8 +58,17 @@ public:
     const std::int32_t* slope_data() const { return slope_q_.data(); }
     const std::int32_t* icept_data() const { return icept_q_.data(); }
 
+    /// The scores where y = x*log2(e) meets the clamp: every x <= x_lo()
+    /// gives y <= y_min and every x >= x_hi() gives y >= y_max, so clamping
+    /// x to [x_lo(), x_hi()] before the multiply changes no result. The
+    /// batched kernel does, which keeps x * log2(e) inside 32 bits.
+    ScoreRaw x_lo() const { return x_lo_; }
+    ScoreRaw x_hi() const { return x_hi_; }
+
 private:
     Config config_;
+    ScoreRaw x_lo_ = 0;
+    ScoreRaw x_hi_ = 0;
     // Chord approximation of 2^f on each segment: slope/intercept in Q.lut_frac.
     std::vector<std::int32_t> slope_q_;
     std::vector<std::int32_t> icept_q_;

@@ -80,6 +80,14 @@ static void round_shift_i32_scalar(std::int32_t* v, int count, int shift) {
         v[i] = static_cast<std::int32_t>(round_shift(v[i], shift));
 }
 
+static void finalize_q78_scalar(const std::int32_t* state, int count, float* out) {
+    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;
+    for (int i = 0; i < count; ++i)
+        out[i] = static_cast<float>(std::clamp<std::int64_t>(round_shift(state[i], shift),
+                                                             INT16_MIN, INT16_MAX)) *
+                 (1.0f / (1 << Datapath::out_frac));
+}
+
 static void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
                            std::uint32_t b, int d) {
     constexpr int sf = Datapath::sprime_frac;
@@ -108,6 +116,11 @@ static void quantize_i8_scalar(const float* x, std::size_t n, float scale,
 }
 
 #if defined(SALO_X86_DISPATCH)
+
+namespace {
+/// Low m bits set, m in [0, 16]: the lanes of a masked tail.
+inline __mmask16 low_lanes(int m) { return static_cast<__mmask16>((1u << m) - 1u); }
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // AVX2. vpmaddwd multiplies int16 lanes pairwise into int32 sums; products of
@@ -216,6 +229,110 @@ __attribute__((target("avx2"))) static void wacc_sp_i8_avx2(std::int32_t* acc,
 }
 
 // ---------------------------------------------------------------------------
+// AVX2 32-bit-lane kernels: the PWL exponential, round_shift and finalize.
+// The exponential's and finalize's tails use vpmaskmovd, which neither
+// reads nor writes the masked-off lanes.
+// ---------------------------------------------------------------------------
+
+/// Lanes i in [0, 8) with i < m, as a vpmaskmovd mask.
+__attribute__((target("avx2"))) static inline __m256i lanes_below_avx2(int m) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(m), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// PwlExp::exp_raw in 32-bit lanes (see PwlExpBatchFn for why every step is
+/// exact). Variable shifts by a count past 31 (vpsllvd/vpsrlvd read counts
+/// as unsigned, so a negative count is one) give 0, as the wide scalar
+/// shifts do for the values that reach them.
+__attribute__((target("avx2"))) static inline __m256i pwl_exp8_avx2(
+    __m256i x, const PwlExpParams& p, __m256i slope_lut, __m256i icept_lut) {
+    const __m256i zero = _mm256_setzero_si256();
+    x = _mm256_min_epi32(_mm256_max_epi32(x, _mm256_set1_epi32(p.x_lo)),
+                         _mm256_set1_epi32(p.x_hi));
+    // y = x * log2(e): Q.8 * Q.16 -> Q.24 >> 8 -> Q.16, clamped.
+    __m256i y = _mm256_srai_epi32(_mm256_mullo_epi32(x, _mm256_set1_epi32(94548)), 8);
+    y = _mm256_min_epi32(_mm256_max_epi32(y, _mm256_set1_epi32(p.y_min * 65536)),
+                         _mm256_set1_epi32(p.y_max * 65536));
+    const __m256i yi = _mm256_srai_epi32(y, 16);
+    const __m256i yf = _mm256_and_si256(y, _mm256_set1_epi32(0xFFFF));
+    const __m256i seg = _mm256_srli_epi32(yf, 16 - 3);  // 8 segments
+    const __m256i slope = _mm256_permutevar8x32_epi32(slope_lut, seg);
+    const __m256i icept = _mm256_permutevar8x32_epi32(icept_lut, seg);
+    __m256i m = _mm256_add_epi32(_mm256_srli_epi32(_mm256_mullo_epi32(slope, yf), 16), icept);
+    m = _mm256_max_epi32(m, zero);
+    const __m256i shift = _mm256_add_epi32(yi, _mm256_set1_epi32(Datapath::exp_frac - p.lut_frac));
+    // shift >= 0: m << shift (below 2^31, see PwlExpBatchFn; the scalar
+    // u32 saturation never fires). shift < 0: (m + 2^(-shift-1)) >> -shift.
+    const __m256i pos = _mm256_sllv_epi32(m, shift);
+    const __m256i ns = _mm256_sub_epi32(zero, shift);
+    const __m256i half =
+        _mm256_sllv_epi32(_mm256_set1_epi32(1), _mm256_sub_epi32(ns, _mm256_set1_epi32(1)));
+    const __m256i neg = _mm256_srlv_epi32(_mm256_add_epi32(m, half), ns);
+    return _mm256_blendv_epi8(pos, neg, _mm256_cmpgt_epi32(zero, shift));
+}
+
+__attribute__((target("avx2"))) static void pwl_exp_batch_avx2(const PwlExpParams& p,
+                                                               const ScoreRaw* x, ExpRaw* out,
+                                                               int count) {
+    const __m256i slope_lut = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.slope));
+    const __m256i icept_lut = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.icept));
+    int i = 0;
+    for (; i + 8 <= count; i += 8) {
+        const __m256i xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                            pwl_exp8_avx2(xv, p, slope_lut, icept_lut));
+    }
+    if (i < count) {
+        const __m256i lanes = lanes_below_avx2(count - i);
+        const __m256i xv = _mm256_maskload_epi32(x + i, lanes);
+        _mm256_maskstore_epi32(reinterpret_cast<int*>(out + i), lanes,
+                               pwl_exp8_avx2(xv, p, slope_lut, icept_lut));
+    }
+}
+
+/// |x| + half in unsigned 32 bits, shifted, then the sign restored: exact
+/// for every int32 (|INT32_MIN| is 2^31 as an unsigned lane).
+__attribute__((target("avx2"))) static inline __m256i round_shift8_avx2(__m256i x, __m128i shift,
+                                                                       __m256i half) {
+    const __m256i r = _mm256_srl_epi32(_mm256_add_epi32(_mm256_abs_epi32(x), half), shift);
+    const __m256i neg = _mm256_cmpgt_epi32(_mm256_setzero_si256(), x);
+    return _mm256_sub_epi32(_mm256_xor_si256(r, neg), neg);
+}
+
+__attribute__((target("avx2"))) static void round_shift_i32_avx2(std::int32_t* v, int count,
+                                                                 int shift) {
+    const __m128i sh = _mm_cvtsi32_si128(shift);
+    const __m256i half = _mm256_set1_epi32(std::int32_t{1} << (shift - 1));
+    int i = 0;
+    for (; i + 8 <= count; i += 8) {
+        __m256i* p = reinterpret_cast<__m256i*>(v + i);
+        _mm256_storeu_si256(p, round_shift8_avx2(_mm256_loadu_si256(p), sh, half));
+    }
+    if (i < count) round_shift_i32_scalar(v + i, count - i, shift);
+}
+
+__attribute__((target("avx2"))) static inline __m256 finalize8_avx2(__m256i x) {
+    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;
+    __m256i r = round_shift8_avx2(x, _mm_cvtsi32_si128(shift),
+                                  _mm256_set1_epi32(std::int32_t{1} << (shift - 1)));
+    r = _mm256_min_epi32(_mm256_max_epi32(r, _mm256_set1_epi32(INT16_MIN)),
+                         _mm256_set1_epi32(INT16_MAX));
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(r), _mm256_set1_ps(1.0f / (1 << Datapath::out_frac)));
+}
+
+__attribute__((target("avx2"))) static void finalize_q78_avx2(const std::int32_t* state,
+                                                              int count, float* out) {
+    int i = 0;
+    for (; i + 8 <= count; i += 8)
+        _mm256_storeu_ps(out + i, finalize8_avx2(_mm256_loadu_si256(
+                                      reinterpret_cast<const __m256i*>(state + i))));
+    if (i < count) {
+        const __m256i lanes = lanes_below_avx2(count - i);
+        _mm256_maskstore_ps(out + i, lanes,
+                            finalize8_avx2(_mm256_maskload_epi32(state + i, lanes)));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AVX-512BW: wacc at 512-bit width. The avx512 levels keep the AVX2
 // dot_rows: a 512-bit form won only at d 128, which no workload runs
 // (docs/PERFORMANCE.md "Cost per level").
@@ -266,74 +383,77 @@ __attribute__((target("avx512bw"))) static void wacc_sp_i8_avx512(std::int32_t* 
 }
 
 // ---------------------------------------------------------------------------
-// Batched stage-2/3/4 and Eq.2 kernels: 64-bit lanes (AVX-512F/DQ), every
+// Batched stage-2/3/4, finalize and Eq. 2 kernels (AVX-512F), every
 // operation the exact integer op of the scalar code. The data-dependent
 // branches of the scalar forms (clamps, rounding direction, saturation)
-// become mask/min/max operations — same results, no branch misses.
+// become mask/min/max operations — same results, no branch misses. The PWL
+// exponential and finalize run in 32-bit lanes with a masked tail;
+// normalize_probs and mix need 64-bit products.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx512f,avx512dq"))) static int pwl_exp_batch_avx512(
-    const PwlExpParams& p, const ScoreRaw* x, ExpRaw* out, int count) {
-    // y = x * log2(e): Q.8 * Q.16 -> Q.24 >> 8 -> Q.16.
-    const __m512i log2e = _mm512_set1_epi64(94548);
-    const __m512i y_lo = _mm512_set1_epi64(static_cast<std::int64_t>(p.y_min) << 16);
-    const __m512i y_hi = _mm512_set1_epi64(static_cast<std::int64_t>(p.y_max) << 16);
-    // The 8-segment chord LUTs, one int64 lane per segment.
-    const __m512i slope_lut = _mm512_cvtepi32_epi64(
+__attribute__((target("avx512f"))) static void pwl_exp_batch_avx512(const PwlExpParams& p,
+                                                                   const ScoreRaw* x,
+                                                                   ExpRaw* out, int count) {
+    const __m512i x_lo = _mm512_set1_epi32(p.x_lo);
+    const __m512i x_hi = _mm512_set1_epi32(p.x_hi);
+    const __m512i log2e = _mm512_set1_epi32(94548);  // Q.16
+    const __m512i y_lo = _mm512_set1_epi32(p.y_min * 65536);
+    const __m512i y_hi = _mm512_set1_epi32(p.y_max * 65536);
+    // The 8-segment chord LUTs in the low eight lanes; vpermd reads only those.
+    const __m512i slope_lut = _mm512_zextsi256_si512(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.slope)));
-    const __m512i icept_lut = _mm512_cvtepi32_epi64(
+    const __m512i icept_lut = _mm512_zextsi256_si512(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.icept)));
-    const __m512i shift_bias = _mm512_set1_epi64(Datapath::exp_frac - p.lut_frac);
+    const __m512i shift_bias = _mm512_set1_epi32(Datapath::exp_frac - p.lut_frac);
+    const __m512i frac_mask = _mm512_set1_epi32(0xFFFF);
     const __m512i zero = _mm512_setzero_si512();
-    const __m512i one64 = _mm512_set1_epi64(1);
-    const __m512i u32max = _mm512_set1_epi64(0xFFFFFFFFll);
-
-    int i = 0;
-    for (; i + 8 <= count; i += 8) {
-        const __m512i xv = _mm512_cvtepi32_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i)));
-        __m512i y = _mm512_srai_epi64(_mm512_mullo_epi64(xv, log2e), 8);
-        y = _mm512_max_epi64(y, y_lo);
-        y = _mm512_min_epi64(y, y_hi);
-        const __m512i yi = _mm512_srai_epi64(y, 16);
-        const __m512i yf = _mm512_sub_epi64(y, _mm512_slli_epi64(yi, 16));
-        const __m512i seg = _mm512_srli_epi64(yf, 16 - 3);  // 8 segments
-        const __m512i slope = _mm512_permutexvar_epi64(seg, slope_lut);
-        const __m512i icept = _mm512_permutexvar_epi64(seg, icept_lut);
-        __m512i m = _mm512_add_epi64(
-            _mm512_srai_epi64(_mm512_mullo_epi64(slope, yf), 16), icept);
-        m = _mm512_max_epi64(m, zero);
-        const __m512i shift = _mm512_add_epi64(yi, shift_bias);
-        // shift >= 0: m << shift (cannot overflow int64 under the caller's
-        // parameter bounds; see PwlExp::exp_raw_batch). Lanes with negative
-        // shift produce garbage here and are blended away.
-        const __m512i pos = _mm512_sllv_epi64(m, shift);
-        // shift < 0: (m + (1 << (-shift-1))) >> -shift, m >= 0 so srl == sra.
-        const __m512i ns = _mm512_sub_epi64(zero, shift);
-        const __m512i half = _mm512_sllv_epi64(one64, _mm512_sub_epi64(ns, one64));
-        const __m512i neg = _mm512_srlv_epi64(_mm512_add_epi64(m, half), ns);
-        const __mmask8 is_neg = _mm512_cmplt_epi64_mask(shift, zero);
-        __m512i res = _mm512_mask_blend_epi64(is_neg, pos, neg);
-        res = _mm512_min_epu64(res, u32max);  // ExpRaw saturation
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                            _mm512_cvtepi64_epi32(res));
+    const __m512i one = _mm512_set1_epi32(1);
+    for (int i = 0; i < count; i += 16) {
+        const __mmask16 lanes = low_lanes(std::min(16, count - i));
+        __m512i xv = _mm512_maskz_loadu_epi32(lanes, x + i);
+        xv = _mm512_min_epi32(_mm512_max_epi32(xv, x_lo), x_hi);
+        // y = x * log2(e): Q.8 * Q.16 -> Q.24 >> 8 -> Q.16, clamped.
+        __m512i y = _mm512_srai_epi32(_mm512_mullo_epi32(xv, log2e), 8);
+        y = _mm512_min_epi32(_mm512_max_epi32(y, y_lo), y_hi);
+        const __m512i yi = _mm512_srai_epi32(y, 16);
+        const __m512i yf = _mm512_and_si512(y, frac_mask);
+        const __m512i seg = _mm512_srli_epi32(yf, 16 - 3);  // 8 segments
+        const __m512i slope = _mm512_permutexvar_epi32(seg, slope_lut);
+        const __m512i icept = _mm512_permutexvar_epi32(seg, icept_lut);
+        // slope * yf < 2^32: the low 32 bits are the unsigned product.
+        __m512i m = _mm512_add_epi32(_mm512_srli_epi32(_mm512_mullo_epi32(slope, yf), 16), icept);
+        m = _mm512_max_epi32(m, zero);
+        const __m512i shift = _mm512_add_epi32(yi, shift_bias);
+        // shift >= 0: m << shift (below 2^31, see PwlExpBatchFn; the scalar
+        // u32 saturation never fires). shift < 0: (m + 2^(-shift-1)) >>
+        // -shift. Variable shifts by a count past 31 (a negative count reads
+        // as one) give 0, as the wide scalar shifts do for the values that
+        // reach them.
+        const __m512i pos = _mm512_sllv_epi32(m, shift);
+        const __m512i ns = _mm512_sub_epi32(zero, shift);
+        const __m512i half = _mm512_sllv_epi32(one, _mm512_sub_epi32(ns, one));
+        const __m512i neg = _mm512_srlv_epi32(_mm512_add_epi32(m, half), ns);
+        const __mmask16 is_neg = _mm512_cmplt_epi32_mask(shift, zero);
+        _mm512_mask_storeu_epi32(out + i, lanes, _mm512_mask_blend_epi32(is_neg, pos, neg));
     }
-    return i;
 }
 
-__attribute__((target("avx512f,avx512dq"))) static void normalize_probs_avx512(
+__attribute__((target("avx512f"))) static void normalize_probs_avx512(
     const ExpRaw* exps, int count, InvRaw inv, std::uint32_t* sps) {
     constexpr int shift = Datapath::exp_frac + Datapath::inv_frac - Datapath::sprime_frac;
-    const __m512i invv = _mm512_set1_epi64(static_cast<std::int64_t>(inv));
+    // exp * inv_lo + (exp * inv_hi << 32) from two vpmuludq is exp * inv
+    // mod 2^64: the scalar code's uint64 product, bit for bit.
+    const __m512i inv_lo = _mm512_set1_epi64(static_cast<std::int64_t>(inv & 0xFFFFFFFFu));
+    const __m512i inv_hi = _mm512_set1_epi64(static_cast<std::int64_t>(inv >> 32));
     const __m512i half = _mm512_set1_epi64(std::int64_t{1} << (shift - 1));
     const __m512i satmax = _mm512_set1_epi64(0xFFFF);
     int i = 0;
     for (; i + 8 <= count; i += 8) {
         const __m512i e = _mm512_cvtepu32_epi64(
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(exps + i)));
-        // exp*inv <= 2^44: the 64-bit product is exact (same as scalar).
-        __m512i q = _mm512_srli_epi64(
-            _mm512_add_epi64(_mm512_mullo_epi64(e, invv), half), shift);
+        const __m512i prod = _mm512_add_epi64(
+            _mm512_mul_epu32(e, inv_lo), _mm512_slli_epi64(_mm512_mul_epu32(e, inv_hi), 32));
+        __m512i q = _mm512_srli_epi64(_mm512_add_epi64(prod, half), shift);
         q = _mm512_min_epu64(q, satmax);
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(sps + i),
                             _mm512_cvtepi64_epi32(q));
@@ -359,6 +479,25 @@ __attribute__((target("avx512f"))) static void round_shift_i32_avx512(std::int32
         const std::int32_t mag = (x >= 0 ? x : -x);
         const std::int32_t r = (mag + (std::int32_t{1} << (shift - 1))) >> shift;
         v[i] = x >= 0 ? r : -r;
+    }
+}
+
+__attribute__((target("avx512f"))) static void finalize_q78_avx512(const std::int32_t* state,
+                                                                  int count, float* out) {
+    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;
+    const __m512i half = _mm512_set1_epi32(std::int32_t{1} << (shift - 1));
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i lo = _mm512_set1_epi32(INT16_MIN);
+    const __m512i hi = _mm512_set1_epi32(INT16_MAX);
+    const __m512 scale = _mm512_set1_ps(1.0f / (1 << Datapath::out_frac));
+    for (int i = 0; i < count; i += 16) {
+        const __mmask16 lanes = low_lanes(std::min(16, count - i));
+        const __m512i x = _mm512_maskz_loadu_epi32(lanes, state + i);
+        // |x| + half in unsigned 32 bits: exact for every int32.
+        __m512i r = _mm512_srli_epi32(_mm512_add_epi32(_mm512_abs_epi32(x), half), shift);
+        r = _mm512_mask_sub_epi32(r, _mm512_cmplt_epi32_mask(x, zero), zero, r);
+        r = _mm512_min_epi32(_mm512_max_epi32(r, lo), hi);
+        _mm512_mask_storeu_ps(out + i, lanes, _mm512_mul_ps(_mm512_cvtepi32_ps(r), scale));
     }
 }
 
@@ -468,9 +607,6 @@ inline std::int32_t load_i32(const void* p) {
     std::memcpy(&v, p, sizeof v);
     return v;
 }
-
-/// Low m bits set, m in [0, 16].
-inline __mmask16 low_lanes(int m) { return static_cast<__mmask16>((1u << m) - 1u); }
 
 /// Lanes j in [0, 16) with lo <= j < hi.
 inline __mmask16 lanes_between(int lo, int hi) {
@@ -731,16 +867,15 @@ const std::vector<KernelSet>& kernel_sets() {
     static const std::vector<KernelSet> sets = [] {
         std::vector<KernelSet> levels;
 #if defined(SALO_X86_DISPATCH)
-        // wacc needs BW; the 64-bit-lane kernels F and DQ; the tile path
-        // VL and VNNI on top.
-        if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-            __builtin_cpu_supports("avx512dq")) {
+        // wacc needs BW; the tile path VL and VNNI on top.
+        if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
             const KernelSet avx512{.name = "avx512",
                                    .dot_rows = dot_i8_rows_avx2,
                                    .wacc = wacc_sp_i8_avx512,
                                    .pwl_exp_batch = pwl_exp_batch_avx512,
                                    .normalize_probs = normalize_probs_avx512,
                                    .round_shift = round_shift_i32_avx512,
+                                   .finalize = finalize_q78_avx512,
                                    .mix = mix_i32_avx512,
                                    .quantize = quantize_i8_avx512};
             if (__builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni")) {
@@ -759,8 +894,10 @@ const std::vector<KernelSet>& kernel_sets() {
             levels.push_back({.name = "avx2",
                               .dot_rows = dot_i8_rows_avx2,
                               .wacc = wacc_sp_i8_avx2,
+                              .pwl_exp_batch = pwl_exp_batch_avx2,
                               .normalize_probs = normalize_probs_scalar,
-                              .round_shift = round_shift_i32_scalar,
+                              .round_shift = round_shift_i32_avx2,
+                              .finalize = finalize_q78_avx2,
                               .mix = mix_i32_scalar,
                               .quantize = quantize_i8_avx2});
 #endif
@@ -769,6 +906,7 @@ const std::vector<KernelSet>& kernel_sets() {
                           .wacc = wacc_sp_i8_scalar,
                           .normalize_probs = normalize_probs_scalar,
                           .round_shift = round_shift_i32_scalar,
+                          .finalize = finalize_q78_scalar,
                           .mix = mix_i32_scalar,
                           .quantize = quantize_i8_scalar});
         return levels;

@@ -10,12 +10,12 @@
 // Two datapaths use them:
 //   * The tile path (the stage_k .. wacc_stream fields of a KernelSet; set
 //     on the avx512vnni level only) runs a tile the way the PE array does.
-//     Each segment's diagonal key stream is staged once per tile: K
-//     u8-biased in 16-key blocks of 4-byte groups, V 4-key-interleaved in
-//     16-dim blocks. Stage 1 then computes a whole rows x stream score band
-//     with vpdpbusd from registers, and stage 5 accumulates each row's
-//     weights against the staged V, again with vpdpbusd. TileExecutor takes
-//     it when its set has the tile fields.
+//     Each diagonal key stream is staged once per head, 16 keys at a time,
+//     on first use: K u8-biased in 16-key blocks of 4-byte groups, V
+//     4-key-interleaved in 16-dim blocks. Stage 1 then computes a whole
+//     rows x stream score band with vpdpbusd from registers, and stage 5
+//     accumulates each row's weights against the staged V, again with
+//     vpdpbusd. TileExecutor takes it when its set has the tile fields.
 //   * The row path gathers each PE row's keys and calls the row-batched
 //     kernels: dot_rows holds the query row widened in registers while
 //     streaming the row's K vectors; wacc holds the output accumulator in
@@ -29,7 +29,7 @@
 // per-element scalar conversion.
 //
 // One KernelSet per ISA level (kernel_sets()): avx512vnni (AVX-512
-// F+BW+DQ+VL+VNNI), avx512 (F+BW+DQ), avx2 and unrolled scalar, built with
+// F+BW+VL+VNNI), avx512 (F+BW), avx2 and unrolled scalar, built with
 // GCC/Clang target attributes — no special compile flags needed, and the
 // binary stays runnable on any x86-64. Non-x86 builds have the scalar level
 // only. The avx512 levels share avx2's dot_rows. Every level is
@@ -65,17 +65,27 @@ struct PwlExpParams {
     int lut_frac = 0;
     int y_min = 0;
     int y_max = 0;
+    ScoreRaw x_lo = 0;  ///< PwlExp::x_lo(): every score <= x_lo clamps to y_min
+    ScoreRaw x_hi = 0;  ///< PwlExp::x_hi(): every score >= x_hi clamps to y_max
 };
 
-/// Batched PWL exponential: out[i] = exp_raw(x[i]) for a *fixed 8-segment
-/// LUT* (seg_bits == 3, the paper's configuration). Returns the number of
-/// leading elements processed (a multiple of the lane width; the caller
-/// finishes the tail with the scalar evaluation). Bit-identical to
-/// PwlExp::exp_raw by construction — every step is the same integer op, and
-/// the scalar saturation branches are unreachable under the parameter
-/// bounds the caller checks (see exp_batch in src/sim/part_builder.cpp).
-using PwlExpBatchFn = int (*)(const PwlExpParams& p, const ScoreRaw* x, ExpRaw* out,
-                              int count);
+/// Batched PWL exponential: out[i] = exp_raw(x[i]) for every i in
+/// [0, count), for a *fixed 8-segment LUT* (seg_bits == 3, the paper's
+/// configuration), in 32-bit lanes. Every step is exact:
+///   * clamping x to [x_lo, x_hi] first changes no result (past either
+///     bound y clamps anyway) and keeps |x * log2(e)| < 2^31 for
+///     y_min >= -40;
+///   * with lut_frac <= 15 every chord slope is < 2^16, so slope * frac
+///     (frac < 2^16) is exact as an unsigned 32-bit product;
+///   * m = slope * frac + icept is at most about 2^(lut_frac+1) and y <=
+///     y_max <= 16 with frac = 0 at 16, so m << shift stays below 2^31 and
+///     exp_raw's u32 saturation never fires.
+/// Bit-identical to PwlExp::exp_raw under the bounds the caller checks
+/// (exp_batch in src/sim/part_builder.cpp): tested on every score in
+/// [-2^23, 2^23] (which holds [x_lo, x_hi], so every int32 is covered) and,
+/// for the default unit, on all 2^32 in a disabled test.
+using PwlExpBatchFn = void (*)(const PwlExpParams& p, const ScoreRaw* x, ExpRaw* out,
+                               int count);
 
 /// sps[i] = normalize_prob(exps[i], inv) for i in [0, count).
 using NormProbsFn = void (*)(const ExpRaw* exps, int count, InvRaw inv,
@@ -87,6 +97,12 @@ using NormProbsFn = void (*)(const ExpRaw* exps, int count, InvRaw inv,
 /// accumulators bounded by 2^23); values near INT32_MAX would overflow the
 /// 32-bit magnitude-plus-half step.
 using RoundShiftFn = void (*)(std::int32_t* v, int count, int shift);
+
+/// out[i] = OutputFx::from_raw(round_shift(state[i], wsm_frac - out_frac))
+/// .to_float(): a row of the weighted-sum module's Q.wsm_frac state rounded
+/// (ties away from zero) by 8 bits, saturated to int16 and scaled by 1/256,
+/// which is exact. Every int32 is a valid input.
+using FinalizeFn = void (*)(const std::int32_t* state, int count, float* out);
 
 /// Eq. 2 mix: out[t] = round_shift(a*out[t] + b*in[t], Datapath::sprime_frac)
 /// with a, b <= 2^sprime_frac — the weighted-sum module's inner loop.
@@ -153,9 +169,10 @@ struct KernelSet {
     const char* name = nullptr;  ///< "avx512vnni", "avx512", "avx2" or "scalar"
     RowDotFn dot_rows = nullptr;
     WaccFn wacc = nullptr;
-    PwlExpBatchFn pwl_exp_batch = nullptr;  ///< nullptr below avx512
+    PwlExpBatchFn pwl_exp_batch = nullptr;  ///< nullptr on scalar
     NormProbsFn normalize_probs = nullptr;
     RoundShiftFn round_shift = nullptr;
+    FinalizeFn finalize = nullptr;
     MixFn mix = nullptr;
     QuantizeI8Fn quantize = nullptr;
     // The tile path: all five set on avx512vnni, all nullptr elsewhere.

@@ -4,22 +4,22 @@ namespace salo {
 
 namespace {
 
-/// Batched stage-2 evaluation: the SIMD kernel when the exponential unit
-/// matches its fixed 8-segment layout AND the bounds that make the scalar
-/// code's saturation branches unreachable hold (y_max < 17 is enforced by
-/// the unit, so m_q << shift < 2^(y_max + exp_frac + 2) <= 2^33 never
-/// overflows; y_min >= -40 keeps the down-shift below 64). Scalar loop
-/// otherwise. Bit-identical either way.
+/// Batched stage-2 evaluation: the set's 32-bit kernel when the
+/// exponential unit has its fixed 8-segment layout and lies in the range
+/// the kernel is checked on (y_min >= -40, y_max <= 16 — enforced by the
+/// unit — and lut_frac <= 15, which keeps every slope * frac product below
+/// 2^32); the scalar unit otherwise. Bit-identical either way.
 inline void exp_batch(const kernels::KernelSet& ks, const PwlExp& exp_unit,
                       const ScoreRaw* scores, ExpRaw* out, int count) {
-    int done = 0;
     const PwlExp::Config& cfg = exp_unit.config();
-    if (ks.pwl_exp_batch && cfg.seg_bits == 3 && cfg.y_min >= -40) {
+    if (ks.pwl_exp_batch && cfg.seg_bits == 3 && cfg.y_min >= -40 && cfg.lut_frac <= 15) {
         const kernels::PwlExpParams params{exp_unit.slope_data(), exp_unit.icept_data(),
-                                           cfg.lut_frac, cfg.y_min, cfg.y_max};
-        done = ks.pwl_exp_batch(params, scores, out, count);
+                                           cfg.lut_frac, cfg.y_min, cfg.y_max,
+                                           exp_unit.x_lo(), exp_unit.x_hi()};
+        ks.pwl_exp_batch(params, scores, out, count);
+        return;
     }
-    for (; done < count; ++done) out[done] = exp_unit.exp_raw(scores[done]);
+    for (int c = 0; c < count; ++c) out[c] = exp_unit.exp_raw(scores[c]);
 }
 
 }  // namespace

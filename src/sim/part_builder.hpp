@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "numeric/pwl_exp.hpp"
@@ -18,13 +19,33 @@
 
 namespace salo {
 
-/// One tile segment's staged state on the tile path (TileExecutor): byte
-/// offsets of its staged K and V streams in PartScratch::staged, the int32
-/// offset and row stride of its score band in PartScratch::band, and the
-/// stream slots whose keys lie in [0, n).
+/// A head's staged K and V for one diagonal key stream shape on the tile
+/// path: every key phase + dilation * j (j any integer), laid out by
+/// kernels::StageFn in 16-key blocks. Block B holds keys
+/// phase + dilation * (16 B + i), i in [0, 16): 16 d bytes of K (one
+/// stage_k block) and 16 d bytes of V (four stage_v groups). Keys outside
+/// [0, n) stage as zero. A block is staged the first time a tile's stream
+/// covers it, so no block is staged twice for one executor.
+struct StagedStream {
+    int dilation = 0;
+    int phase = 0;                 ///< the first key of block 0, in [0, 16 * dilation)
+    std::int64_t first_block = 0;  ///< the block held first
+    std::vector<std::uint8_t> staged;  ///< per held block: 1 once staged
+    /// Left uninitialized, so only staged blocks are ever touched.
+    std::unique_ptr<std::uint8_t[]> buffer;
+    std::uint8_t* k = nullptr;  ///< K of every held block (64-byte aligned, in buffer)
+    std::uint8_t* v = nullptr;  ///< V of every held block (likewise)
+};
+
+/// One tile segment's state on the tile path (TileExecutor): where its key
+/// stream starts in a StagedStream, the int32 offset and row stride of its
+/// score band in PartScratch::band, and the stream slots whose keys lie in
+/// [0, n).
 struct StagedSegment {
-    std::size_t k_offset = 0;
-    std::size_t v_offset = 0;
+    std::size_t stream = 0;       ///< index into PartScratch::streams
+    std::int64_t block = 0;       ///< the stream block holding slot 0
+    const std::uint8_t* k = nullptr;  ///< the segment's staged K, from slot 0
+    const std::uint8_t* v = nullptr;  ///< the segment's staged V, from slot 0
     std::size_t band_offset = 0;
     int band_stride = 0;
     int slot_lo = 0;
@@ -39,8 +60,11 @@ struct PartScratch {
     std::vector<int> keys;
     std::vector<ExpRaw> exps;
     std::vector<std::uint32_t> sps;  ///< stage-4 probabilities (Q.15)
-    // Tile path: staged K/V streams and score bands of the current tile.
-    std::vector<std::uint8_t> staged;
+    // Tile path: the staged K/V streams of the executor last served (by
+    // TileExecutor::id(); another executor's first tile drops them), and the
+    // score bands and segments of the current tile.
+    std::uint64_t streams_owner = 0;
+    std::vector<StagedStream> streams;
     std::vector<std::int32_t> band;
     std::vector<StagedSegment> segments;
     std::vector<std::uint8_t> sp_bytes;  ///< one row's stage-5 lo/hi byte planes

@@ -1,7 +1,10 @@
 #include "sim/tile_executor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 
 #include "common/assert.hpp"
 #include "sim/kernels.hpp"
@@ -14,6 +17,93 @@ namespace {
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
     return a >= 0 ? (a + b - 1) / b : -((-a) / b);
 }
+
+/// floor(a / b) for b > 0.
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+    return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+/// Bytes of staged K, and of staged V, per 16-key block.
+std::size_t block_bytes(int d) { return 16 * static_cast<std::size_t>(d); }
+
+/// Make `stream` hold blocks [lo, hi) as well as those it holds, keeping
+/// every staged block.
+void hold_blocks(StagedStream& stream, std::int64_t lo, std::int64_t hi, int d) {
+    const auto held = static_cast<std::int64_t>(stream.staged.size());
+    if (held > 0) {
+        lo = std::min(lo, stream.first_block);
+        hi = std::max(hi, stream.first_block + held);
+    }
+    const auto blocks = static_cast<std::size_t>(hi - lo);
+    const std::size_t bb = block_bytes(d);
+    auto buffer = std::make_unique_for_overwrite<std::uint8_t[]>(2 * blocks * bb + 64);
+    const auto addr = reinterpret_cast<std::uintptr_t>(buffer.get());
+    std::uint8_t* k = buffer.get() + (64 - addr % 64) % 64;
+    std::uint8_t* v = k + blocks * bb;
+    std::vector<std::uint8_t> staged(blocks, 0);
+    for (std::int64_t b = 0; b < held; ++b) {
+        if (!stream.staged[static_cast<std::size_t>(b)]) continue;
+        const auto to = static_cast<std::size_t>(stream.first_block + b - lo);
+        staged[to] = 1;
+        std::memcpy(k + to * bb, stream.k + static_cast<std::size_t>(b) * bb, bb);
+        std::memcpy(v + to * bb, stream.v + static_cast<std::size_t>(b) * bb, bb);
+    }
+    stream.first_block = lo;
+    stream.staged = std::move(staged);
+    stream.buffer = std::move(buffer);
+    stream.k = k;
+    stream.v = v;
+}
+
+/// The index of the stream in `streams` for (dilation, phase), made to hold
+/// blocks [lo, hi). A new stream also holds every block with a key in
+/// [-margin, n + margin), so a head's later tiles rarely grow it.
+std::size_t reserve_stream(std::vector<StagedStream>& streams, int dilation, int phase,
+                           std::int64_t lo, std::int64_t hi, int n, std::int64_t margin,
+                           int d) {
+    std::size_t i = 0;
+    while (i < streams.size() &&
+           (streams[i].dilation != dilation || streams[i].phase != phase))
+        ++i;
+    if (i == streams.size()) {
+        streams.emplace_back();
+        streams[i].dilation = dilation;
+        streams[i].phase = phase;
+        const std::int64_t span = 16 * std::int64_t{dilation};
+        lo = std::min(lo, floor_div(-margin - phase, span));
+        hi = std::max(hi, floor_div(n + margin - 1 - phase, span) + 1);
+    }
+    StagedStream& stream = streams[i];
+    const auto held = static_cast<std::int64_t>(stream.staged.size());
+    if (lo < stream.first_block || hi > stream.first_block + held)
+        hold_blocks(stream, lo, hi, d);
+    return i;
+}
+
+/// Stage the blocks in [first, first + count) of `stream` that are not
+/// staged yet, one stage_k/stage_v call per run of them.
+void stage_blocks(const kernels::KernelSet& ks, const std::int8_t* kbase,
+                  const std::int8_t* vbase, int n, int d, StagedStream& stream,
+                  std::int64_t first, std::int64_t count) {
+    const std::size_t bb = block_bytes(d);
+    std::uint8_t* staged = stream.staged.data() + (first - stream.first_block);
+    for (std::int64_t b = 0; b < count;) {
+        if (staged[b]) {
+            ++b;
+            continue;
+        }
+        const std::int64_t run0 = b;
+        while (b < count && !staged[b]) staged[b++] = 1;
+        const std::int64_t block = first + run0;
+        const std::int64_t key0 = stream.phase + block * 16 * stream.dilation;
+        const auto len = static_cast<int>(16 * (b - run0));
+        const auto at = static_cast<std::size_t>(block - stream.first_block) * bb;
+        ks.stage_k(kbase, n, d, key0, stream.dilation, len, stream.k + at);
+        ks.stage_v(vbase, n, d, key0, stream.dilation, len, stream.v + at);
+    }
+}
+
+std::atomic<std::uint64_t> next_executor_id{1};
 
 /// A 64-byte aligned view of at least `count` elements of `buf`.
 template <typename T>
@@ -69,7 +159,7 @@ TileExecutor::TileExecutor(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                            const Matrix<std::int8_t>& q, const Matrix<std::int8_t>& k,
                            const Matrix<std::int8_t>& v, const kernels::KernelSet& set)
     : kernels_(&set), exp_unit_(&exp_unit), recip_unit_(&recip_unit), q_(&q), k_(&k),
-      v_(&v) {
+      v_(&v), id_(next_executor_id.fetch_add(1, std::memory_order_relaxed)) {
     SALO_EXPECTS(q.cols() == k.cols() && k.rows() == v.rows() && k.cols() == v.cols());
     // A tile's active rows hold distinct queries, so a q of fewer than
     // kTilePathMinRows rows (a decode step's one row) never selects the
@@ -103,7 +193,8 @@ void TileExecutor::run(const TileTask& tile, PartArena& arena, ActivityStats& ac
 }
 
 // ---------------------------------------------------------------------------
-// Tile path staging: per segment, the stream of the active rows' keys.
+// Tile path staging: per segment, the stream of the active rows' keys, from
+// the head's staged streams.
 // ---------------------------------------------------------------------------
 int TileExecutor::stage_tile(const TileTask& tile, PartScratch& scratch) const {
     const kernels::KernelSet& ks = *kernels_;
@@ -111,48 +202,55 @@ int TileExecutor::stage_tile(const TileTask& tile, PartScratch& scratch) const {
     const int nn = k_->rows();
     const ActiveRows active = active_rows(tile);
     const int rows = active.end - active.first;
+    if (scratch.streams_owner != id_) {
+        scratch.streams.clear();
+        scratch.streams_owner = id_;
+    }
 
-    // Layout: per segment, K (16-key blocks) then V (4-key groups) in
-    // `staged`, and a rows x stream score band in `band`. Every offset is a
-    // multiple of 64 bytes.
-    std::size_t staged_bytes = 0;
+    // Each segment's stream starts at a block of the stream for its
+    // (dilation, first key mod 16 * dilation). Every stream grows before
+    // any pointer into it is taken. The rows x stream score bands go to
+    // `band`, each at a multiple of 64 bytes.
     std::size_t band_words = 0;
     scratch.segments.resize(tile.segments.size());
     for (std::size_t s = 0; s < tile.segments.size(); ++s) {
         const TileSegment& seg = tile.segments[s];
         StagedSegment& st = scratch.segments[s];
         const int len = seg.stream_length(rows);
+        const std::int64_t key0 = seg.key_base + std::int64_t{active.first} * seg.dilation;
+        const std::int64_t span = 16 * std::int64_t{seg.dilation};
+        st.block = floor_div(key0, span);
+        const int phase = static_cast<int>(key0 - st.block * span);
+        st.stream = reserve_stream(scratch.streams, seg.dilation, phase, st.block,
+                                   st.block + (len + 15) / 16, nn,
+                                   std::int64_t{tile.rows() + tile.cols()} * seg.dilation, d);
         const std::size_t padded16 = static_cast<std::size_t>((len + 15) / 16 * 16);
-        const std::size_t padded4 = static_cast<std::size_t>((len + 3) / 4 * 4);
-        st.k_offset = staged_bytes;
-        staged_bytes += padded16 * static_cast<std::size_t>(d);
-        st.v_offset = staged_bytes;
-        staged_bytes += padded4 * static_cast<std::size_t>(d);
         st.band_offset = band_words;
         st.band_stride = static_cast<int>(padded16);
         band_words += static_cast<std::size_t>(rows) * padded16;
-        const std::int64_t key0 = seg.key_base + std::int64_t{active.first} * seg.dilation;
         st.slot_lo = static_cast<int>(
             std::clamp<std::int64_t>(ceil_div(-key0, seg.dilation), 0, len));
         st.slot_hi = static_cast<int>(
             std::clamp<std::int64_t>(ceil_div(nn - key0, seg.dilation), st.slot_lo, len));
     }
-    std::uint8_t* staged = aligned_span(scratch.staged, staged_bytes);
     std::int32_t* band = aligned_span(scratch.band, band_words);
 
     const std::int8_t* qbase = q_->data().data();
     const std::int8_t* kbase = k_->data().data();
     const std::int8_t* vbase = v_->data().data();
     const std::int32_t* query_ids = tile.query_ids.data() + active.first;
+    const std::size_t bb = block_bytes(d);
     for (std::size_t s = 0; s < tile.segments.size(); ++s) {
         const TileSegment& seg = tile.segments[s];
-        const StagedSegment& st = scratch.segments[s];
+        StagedSegment& st = scratch.segments[s];
+        StagedStream& stream = scratch.streams[st.stream];
         const int len = seg.stream_length(rows);
-        const std::int64_t key0 = seg.key_base + std::int64_t{active.first} * seg.dilation;
-        ks.stage_k(kbase, nn, d, key0, seg.dilation, len, staged + st.k_offset);
-        ks.stage_v(vbase, nn, d, key0, seg.dilation, len, staged + st.v_offset);
-        ks.score_band(staged + st.k_offset, d, len, qbase, qsum_.data(), query_ids, rows,
-                      seg.width(), band + st.band_offset, st.band_stride);
+        stage_blocks(ks, kbase, vbase, nn, d, stream, st.block, (len + 15) / 16);
+        const auto at = static_cast<std::size_t>(st.block - stream.first_block) * bb;
+        st.k = stream.k + at;
+        st.v = stream.v + at;
+        ks.score_band(st.k, d, len, qbase, qsum_.data(), query_ids, rows, seg.width(),
+                      band + st.band_offset, st.band_stride);
     }
     return active.first;
 }
@@ -196,12 +294,10 @@ void TileExecutor::execute(const TileTask& tile, Sink& sink, ActivityStats& acti
     };
 
     int first_active = 0;
-    const std::uint8_t* staged = nullptr;
     const std::int32_t* band = nullptr;
     std::uint8_t* sp_bytes = nullptr;
     if (tiled) {
         first_active = stage_tile(tile, scratch);
-        staged = aligned_span(scratch.staged, 0);
         band = aligned_span(scratch.band, 0);
         const std::size_t sp_size = static_cast<std::size_t>(2 * cols + 128);
         if (scratch.sp_bytes.size() < sp_size) scratch.sp_bytes.resize(sp_size);
@@ -239,9 +335,8 @@ void TileExecutor::execute(const TileTask& tile, Sink& sink, ActivityStats& acti
                         const TileSegment& seg = tile.segments[s];
                         const StagedSegment& st = scratch.segments[s];
                         if (st.count == 0) continue;
-                        ks.wacc_stream(
-                            part.out_q.data(), sps, vrow + seg.col_begin, seg.width(), rr,
-                            staged + st.v_offset, d, sp_bytes);
+                        ks.wacc_stream(part.out_q.data(), sps, vrow + seg.col_begin,
+                                       seg.width(), rr, st.v, d, sp_bytes);
                         sps += st.count;
                     }
                     finish_part(ks, count, activity, part);

@@ -17,13 +17,17 @@
 // PE-array rows on one of two datapaths, chosen per tile from the
 // executor's kernel set and the tile, never from an option:
 //   * The tile path, as the hardware does it (paper §4.1/§5.2): a key
-//     enters once and flows diagonally through every row. Each segment's
-//     K/V stream is staged once (the set's stage_k/stage_v), stage 1
-//     computes the whole rows x stream score band, and each row takes its
-//     valid scores from the band and runs stage 5 against the staged V. It
-//     runs when the set has the tile fields (the avx512vnni level), d is a
-//     multiple of 16, and the tile has at least kTilePathMinRows active
-//     rows.
+//     enters once and flows diagonally through every row. K and V are
+//     staged once per head (the set's stage_k/stage_v), 16 keys at a time,
+//     in one stream per (dilation, first key mod 16 * dilation) kept in the
+//     PartScratch; each tile segment points into its stream and stages
+//     only the blocks no earlier tile staged. Stage 1 computes the whole
+//     rows x stream score band, and each row takes its valid scores from
+//     the band and runs stage 5 against the staged V. Stream slots past a
+//     segment's end hold the next keys, not zeros; no row reads their
+//     scores, and stage 5 weights them by sp = 0. It runs when the set has
+//     the tile fields (the avx512vnni level), d is a multiple of 16, and
+//     the tile has at least kTilePathMinRows active rows.
 //   * The row path: each row gathers its keys and calls the set's
 //     row-batched dot_rows and wacc. It runs all remaining tiles.
 // The global PE row and column always take the row path's kernels, and
@@ -31,7 +35,9 @@
 // parts, in the same order, bit for bit (tested: an executor on the avx512
 // set runs every tile on the row path with the same row kernels).
 // Thread-safe: concurrent calls on one executor are fine as long as each
-// worker lane owns its sink (arena or module) and scratch.
+// worker lane owns its sink (arena or module) and scratch. The staged
+// streams assume the executor's K and V do not change between its runs, as
+// its query-sum table assumes of q.
 #pragma once
 
 #include <cstdint>
@@ -82,14 +88,20 @@ public:
     int head_dim() const { return q_->cols(); }
     int n() const { return q_->rows(); }
 
+    /// Unique per constructed executor (a copy shares it): a PartScratch
+    /// keeps the staged K/V streams of the executor it last served and
+    /// drops them when a different id runs a tile.
+    std::uint64_t id() const { return id_; }
+
 private:
     /// The body of both run()s. `sink` hands out a cleared part of width d
     /// (take) and gets it back once it is built or found massless (put).
     template <typename Sink>
     void execute(const TileTask& tile, Sink& sink, ActivityStats& activity,
                  PartScratch& scratch, bool tiled) const;
-    /// Stage every segment's K/V stream over the tile's active rows and
-    /// compute its score band; returns the first active row.
+    /// Point every segment at its K/V stream over the tile's active rows,
+    /// staging the blocks the head has not staged yet, and compute its
+    /// score band; returns the first active row.
     int stage_tile(const TileTask& tile, PartScratch& scratch) const;
 
     const kernels::KernelSet* kernels_;
@@ -101,6 +113,7 @@ private:
     /// Per query row: the sum of its int8 q values (the tile path's u8-bias
     /// correction); empty when the tile path cannot run.
     std::vector<std::int32_t> qsum_;
+    std::uint64_t id_;
 };
 
 }  // namespace salo

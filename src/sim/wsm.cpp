@@ -23,7 +23,8 @@ std::uint32_t normalize_weight(SumRaw w, InvRaw inv) {
 
 WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit,
                                      const kernels::KernelSet& kernel_set)
-    : recip_unit_(&recip_unit), mix_(kernel_set.mix), n_(n), d_(d),
+    : recip_unit_(&recip_unit), mix_(kernel_set.mix), finalize_(kernel_set.finalize),
+      n_(n), d_(d),
       weight_(static_cast<std::size_t>(n), 0),
       out_q_(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0),
       initialized_(static_cast<std::size_t>(n), 0) {
@@ -56,17 +57,14 @@ void WeightedSumModule::merge(const TilePart& part) {
 
 void WeightedSumModule::finalize_into(Matrix<float>& out) const {
     SALO_EXPECTS(out.rows() == n_ && out.cols() == d_);
-    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;  // 8
     const auto d = static_cast<std::size_t>(d_);
     const std::int32_t* src = out_q_.data();
     float* dst = out.data().data();
     for (std::size_t i = 0; i < initialized_.size(); ++i, src += d, dst += d) {
-        if (!initialized_[i]) {  // never merged: emits 0
+        if (initialized_[i])
+            finalize_(src, d_, dst);
+        else  // never merged: emits 0
             std::fill_n(dst, d, 0.0f);
-            continue;
-        }
-        for (std::size_t t = 0; t < d; ++t)
-            dst[t] = OutputFx::from_raw(round_shift(src[t], shift)).to_float();
     }
 }
 

@@ -42,8 +42,9 @@ public:
     std::int64_t merges() const { return merges_; }
 
     /// finalize(), written into `out` (n x d) in one pass with no
-    /// temporaries: each running output is rounded by wsm_frac - out_frac
-    /// bits, saturated to Q7.8 and scaled. Queries never merged read 0.
+    /// temporaries: the kernel set's finalize rounds each running output by
+    /// wsm_frac - out_frac bits, saturates it to Q7.8 and scales it, one row
+    /// at a time. Queries never merged read 0.
     void finalize_into(Matrix<float>& out) const;
 
     /// Final outputs as raw 16-bit Q7.8 (the accelerator's output format).
@@ -54,7 +55,8 @@ public:
 
 private:
     const Reciprocal* recip_unit_;
-    kernels::MixFn mix_;  ///< the kernel set's, resolved once
+    kernels::MixFn mix_;            ///< the kernel set's, resolved once
+    kernels::FinalizeFn finalize_;  ///< likewise
     int n_;
     int d_;
     std::vector<SumRaw> weight_;                ///< running W per query

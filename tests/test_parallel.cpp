@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +25,8 @@
 #include "core/engine.hpp"
 #include "common/rng.hpp"
 #include "numeric/datapath.hpp"
+#include "numeric/fixed.hpp"
+#include "numeric/pwl_exp.hpp"
 #include "numeric/quantize.hpp"
 #include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
@@ -278,6 +281,10 @@ TEST(Kernels, RowDotAndWaccMatchScalarAtEveryLevel) {
 // [0, n), clipped and single-slot valid masks, inactive rows, global PE
 // row and column work, extreme V rows, rows in {1, R, 32} and d in
 // {16, 32, 64, 128}. Every TilePart and the ActivityStats must match.
+// One scratch serves each executor across all its tiles (staged K/V
+// blocks are reused); a second scratch is handed from executor to
+// executor on other K/V, and to executors rebuilt in one storage, and must
+// give the parts of a fresh scratch.
 // -------------------------------------------------------------------------
 
 TileTask random_tile(Rng& rng, int active, int n) {
@@ -354,7 +361,7 @@ TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
                      [](const kernels::KernelSet& ks) { return !ks.has_tile_path(); });
     ASSERT_NE(row_set, sets.end());
     if (!sets.front().has_tile_path())
-        GTEST_SKIP() << "host lacks AVX-512 F+BW+DQ+VL+VNNI: the tile path cannot run";
+        GTEST_SKIP() << "host lacks AVX-512 F+BW+VL+VNNI: the tile path cannot run";
     constexpr int n = 300;
     constexpr int R = TileExecutor::kTilePathMinRows;
     const PwlExp exp_unit;
@@ -377,10 +384,15 @@ TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
                 v(3, t) = -128;
                 v(4, t) = 127;
             }
+            const Matrix<std::int8_t> k2 = random_i8(-40, 40);
+            const Matrix<std::int8_t> v2 = random_i8(-128, 127);
             const TileExecutor exec(exp_unit, recip_unit, q, k, v, ks);
             const TileExecutor row_exec(exp_unit, recip_unit, q, k, v, *row_set);
-            PartArena tiled, rows;
-            PartScratch tiled_scratch, rows_scratch;
+            const TileExecutor other(exp_unit, recip_unit, q, k2, v2, ks);
+            const TileExecutor other_rows(exp_unit, recip_unit, q, k2, v2, *row_set);
+            std::optional<TileExecutor> rebuilt;
+            PartArena tiled, rows, rows2, handed;
+            PartScratch tiled_scratch, rows_scratch, handed_scratch;
             for (const int active : {1, R, 32}) {
                 for (int trial = 0; trial < 40; ++trial) {
                     const TileTask tile = random_tile(rng, active, n);
@@ -397,6 +409,23 @@ TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
                     row_exec.run(tile, rows, b, rows_scratch);
                     ASSERT_TRUE(same_parts(tiled, rows)) << what;
                     expect_same_activity(a, b, what);
+
+                    // The handed-on scratch goes to `other` (k2/v2; it last
+                    // served an executor on k/v), then to an executor rebuilt
+                    // on k2/v2 and one rebuilt on k/v in the same storage.
+                    rows2.reset();
+                    other_rows.run(tile, rows2, b, rows_scratch);
+                    auto handed_on = [&](const TileExecutor& e, const PartArena& want,
+                                         const char* who) {
+                        handed.reset();
+                        e.run(tile, handed, a, handed_scratch);
+                        EXPECT_TRUE(same_parts(handed, want)) << what << ", " << who;
+                    };
+                    handed_on(other, rows2, "other K/V");
+                    rebuilt.emplace(exp_unit, recip_unit, q, k2, v2, ks);
+                    handed_on(*rebuilt, rows2, "rebuilt on other K/V");
+                    rebuilt.emplace(exp_unit, recip_unit, q, k, v, ks);
+                    handed_on(*rebuilt, rows, "rebuilt on the first K/V");
                 }
             }
             // A valid slot whose key lies outside [0, n) trips the same
@@ -420,31 +449,156 @@ TEST(TilePath, MatchesRowPathOnGeneratedTiles) {
     }
 }
 
+// -------------------------------------------------------------------------
+// The batched PWL exponential against PwlExp::exp_raw, at every level that
+// has one: the default unit and the corners of the range exp_batch admits
+// (y_min -40, y_max 16, lut_frac 8 and 15).
+// -------------------------------------------------------------------------
+
+kernels::PwlExpParams batch_params(const PwlExp& unit) {
+    const PwlExp::Config& c = unit.config();
+    return {unit.slope_data(), unit.icept_data(), c.lut_frac, c.y_min, c.y_max,
+            unit.x_lo(),       unit.x_hi()};
+}
+
+std::vector<PwlExp> batch_units() {
+    std::vector<PwlExp> units(1);  // the default unit
+    for (const int lut_frac : {8, 15})
+        units.emplace_back(PwlExp::Config{.seg_bits = 3, .lut_frac = lut_frac, .y_min = -40,
+                                          .y_max = 16});
+    return units;
+}
+
+/// Every level's batched kernel against exp_raw on the scores produced by
+/// `fill(begin, xs)` for begin in [0, chunks): the first mismatch, if any.
+template <typename Fill>
+::testing::AssertionResult pwl_batch_matches(const PwlExp& unit, std::int64_t chunks,
+                                             Fill fill) {
+    const kernels::PwlExpParams params = batch_params(unit);
+    std::vector<ScoreRaw> xs;
+    std::vector<ExpRaw> want, got;
+    for (std::int64_t c = 0; c < chunks; ++c) {
+        fill(c, xs);
+        want.resize(xs.size());
+        for (std::size_t i = 0; i < xs.size(); ++i) want[i] = unit.exp_raw(xs[i]);
+        for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+            if (ks.pwl_exp_batch == nullptr) continue;
+            got.assign(xs.size(), 0);
+            ks.pwl_exp_batch(params, xs.data(), got.data(), static_cast<int>(xs.size()));
+            if (got == want) continue;
+            const auto i = static_cast<std::size_t>(
+                std::mismatch(got.begin(), got.end(), want.begin()).first - got.begin());
+            return ::testing::AssertionFailure()
+                   << ks.name << ": x=" << xs[i] << " -> " << got[i] << ", exp_raw "
+                   << want[i] << " (lut_frac " << unit.config().lut_frac << ", y "
+                   << unit.config().y_min << ".." << unit.config().y_max << ")";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
 TEST(Kernels, BatchedPwlExpMatchesScalarUnit) {
-    const PwlExp unit;  // default: 8 segments — batch-eligible
-    ASSERT_EQ(unit.config().seg_bits, 3);
-    // Extremes go FIRST so the SIMD lanes (which process a multiple-of-8
-    // prefix) cover them rather than leaving them to the scalar tail.
-    std::vector<ScoreRaw> xs = {std::numeric_limits<ScoreRaw>::min(),
-                                std::numeric_limits<ScoreRaw>::max(), 0, -1, 1,
-                                -255, 255, 4096};
-    for (int i = -3000; i <= 3000; i += 7) xs.push_back(i);
-    const kernels::PwlExpParams params{unit.slope_data(), unit.icept_data(),
-                                       unit.config().lut_frac, unit.config().y_min,
-                                       unit.config().y_max};
+    constexpr std::int64_t kChunk = 1 << 20;
+    constexpr std::int64_t kRange = std::int64_t{1} << 23;
+    const std::int64_t lo = std::numeric_limits<ScoreRaw>::min();
+    const std::int64_t hi = std::numeric_limits<ScoreRaw>::max();
     int levels = 0;
+    for (const kernels::KernelSet& ks : kernels::kernel_sets())
+        levels += ks.pwl_exp_batch != nullptr;
+    if (levels == 0) GTEST_SKIP() << "no level on this host has a batched PWL kernel";
+    for (const PwlExp& unit : batch_units()) {
+        // Every score in [-2^23, 2^23], in chunks of 2^20 (the last holds 1).
+        EXPECT_TRUE(pwl_batch_matches(unit, 2 * kRange / kChunk + 1,
+                                      [&](std::int64_t c, std::vector<ScoreRaw>& xs) {
+                                          const std::int64_t x0 = -kRange + c * kChunk;
+                                          xs.resize(static_cast<std::size_t>(
+                                              std::min(kChunk, kRange + 1 - x0)));
+                                          std::iota(xs.begin(), xs.end(),
+                                                    static_cast<ScoreRaw>(x0));
+                                      }));
+        // A strided sweep of all int32 (stride 4093, a prime) and the int32
+        // extremes and clamp edges in every lane position of a tail.
+        EXPECT_TRUE(pwl_batch_matches(unit, 1, [&](std::int64_t, std::vector<ScoreRaw>& xs) {
+            xs.clear();
+            for (std::int64_t x = lo; x <= hi; x += 4093) xs.push_back(static_cast<ScoreRaw>(x));
+        }));
+        const std::vector<ScoreRaw> edges = {
+            static_cast<ScoreRaw>(lo), static_cast<ScoreRaw>(hi), unit.x_lo() - 1,
+            unit.x_lo(), unit.x_lo() + 1, unit.x_hi() - 1, unit.x_hi(), unit.x_hi() + 1,
+            0, -1, 1};
+        EXPECT_TRUE(pwl_batch_matches(unit, 33, [&](std::int64_t c, std::vector<ScoreRaw>& xs) {
+            xs.clear();  // count 0..32: every tail length of 8 and 16 lanes
+            for (std::int64_t i = 0; i < c; ++i)
+                xs.push_back(edges[static_cast<std::size_t>((i + c) % std::ssize(edges))]);
+        }));
+    }
+}
+
+TEST(Kernels, BatchedPwlExpWritesOnlyItsCount) {
+    const PwlExp unit;
+    const kernels::PwlExpParams params = batch_params(unit);
+    const std::vector<ScoreRaw> xs(40, 100);
     for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
         if (ks.pwl_exp_batch == nullptr) continue;
-        ++levels;
-        std::vector<ExpRaw> batch(xs.size());
-        const int done = ks.pwl_exp_batch(params, xs.data(), batch.data(),
-                                          static_cast<int>(xs.size()));
-        ASSERT_GT(done, 0) << ks.name;
-        for (int i = 0; i < done; ++i)
-            ASSERT_EQ(batch[static_cast<std::size_t>(i)], unit.exp_raw(xs[static_cast<std::size_t>(i)]))
-                << ks.name << ": x=" << xs[static_cast<std::size_t>(i)];
+        for (int count = 0; count <= 33; ++count) {
+            std::vector<ExpRaw> out(40, 0xABCDu);
+            ks.pwl_exp_batch(params, xs.data(), out.data(), count);
+            for (int i = 0; i < 40; ++i)
+                ASSERT_EQ(out[static_cast<std::size_t>(i)],
+                          i < count ? unit.exp_raw(100) : 0xABCDu)
+                    << ks.name << ": count " << count << ", element " << i;
+        }
     }
-    if (levels == 0) GTEST_SKIP() << "no level on this host has a batched PWL kernel";
+}
+
+// All 2^32 scores for the default unit at every level (about 40 s on one
+// core). CI's release job runs it with --gtest_also_run_disabled_tests.
+TEST(Kernels, DISABLED_BatchedPwlExpMatchesScalarUnitOnEveryInt32) {
+    constexpr std::int64_t kChunk = 1 << 22;
+    const PwlExp unit;
+    EXPECT_TRUE(pwl_batch_matches(unit, (std::int64_t{1} << 32) / kChunk,
+                                  [&](std::int64_t c, std::vector<ScoreRaw>& xs) {
+                                      xs.resize(kChunk);
+                                      std::iota(xs.begin(), xs.end(),
+                                                static_cast<ScoreRaw>(
+                                                    std::numeric_limits<ScoreRaw>::min() +
+                                                    c * kChunk));
+                                  }));
+}
+
+TEST(Kernels, FinalizeMatchesOutputFxAtEveryLevel) {
+    // Q.16 states: ties of the 8-bit rounding, both sides of the Q7.8
+    // saturation edges, the int32 extremes, and random values; counts
+    // cover every tail of 8 and 16 lanes.
+    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;
+    std::vector<std::int32_t> state = {std::numeric_limits<std::int32_t>::min(),
+                                       std::numeric_limits<std::int32_t>::max(),
+                                       0, 1, -1, 127, 128, -128, -129, 383, 384, -384, -385};
+    for (const std::int64_t edge : {std::int64_t{32767} << shift, std::int64_t{-32768} << shift})
+        for (std::int64_t delta = -130; delta <= 130; delta += 1)
+            state.push_back(static_cast<std::int32_t>(edge + delta));
+    Rng rng(29);
+    for (int i = 0; i < 500; ++i) state.push_back(static_cast<std::int32_t>(rng.next_u64()));
+    for (int i = 0; i < 500; ++i)
+        state.push_back(static_cast<std::int32_t>(rng.uniform_index(1 << 24)) - (1 << 23));
+    std::vector<float> want(state.size());
+    for (std::size_t i = 0; i < state.size(); ++i)
+        want[i] = OutputFx::from_raw(round_shift(state[i], shift)).to_float();
+    for (const kernels::KernelSet& ks : kernels::kernel_sets()) {
+        std::vector<float> got(state.size() + 1, -7.0f);
+        ks.finalize(state.data(), static_cast<int>(state.size()), got.data());
+        EXPECT_EQ(got.back(), -7.0f) << ks.name << ": wrote past count";
+        got.pop_back();
+        EXPECT_EQ(got, want) << ks.name;
+        for (int count = 0; count <= 33; ++count) {
+            std::vector<float> tail(34, -7.0f);
+            ks.finalize(state.data(), count, tail.data());
+            for (int i = 0; i < 34; ++i)
+                ASSERT_EQ(tail[static_cast<std::size_t>(i)],
+                          i < count ? want[static_cast<std::size_t>(i)] : -7.0f)
+                    << ks.name << ": count " << count << ", element " << i;
+        }
+    }
 }
 
 TEST(Kernels, RoundShiftAndMixMatchScalar) {
@@ -546,7 +700,7 @@ TEST(Kernels, LevelsWidestFirstScalarLast) {
         EXPECT_EQ(ks.select != nullptr, tile) << ks.name;
         EXPECT_EQ(ks.wacc_stream != nullptr, tile) << ks.name;
         EXPECT_TRUE(ks.dot_rows && ks.wacc && ks.normalize_probs && ks.round_shift &&
-                    ks.mix && ks.quantize)
+                    ks.finalize && ks.mix && ks.quantize)
             << ks.name;
     }
     EXPECT_STREQ(sets.back().name, "scalar");
