@@ -1,9 +1,8 @@
-// ASCII table and bar-chart rendering used by the benchmark harnesses to
-// print paper-style tables (Table 1-3) and figures (Figure 7a/7b).
+// ASCII table rendering and float formatting for the paper-claims ledger
+// and the examples.
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -59,58 +58,11 @@ private:
     std::vector<std::vector<std::string>> rows_;
 };
 
-/// Horizontal ASCII bar chart: one labelled bar per entry, scaled so the
-/// longest bar spans `max_width` characters. Used to render Figure 7a/7b.
-class AsciiBarChart {
-public:
-    explicit AsciiBarChart(std::string title, int max_width = 50)
-        : title_(std::move(title)), max_width_(max_width) {
-        SALO_EXPECTS(max_width > 0);
-    }
-
-    void add(std::string label, double value) { entries_.push_back({std::move(label), value}); }
-
-    std::string str() const {
-        double peak = 0.0;
-        std::size_t label_w = 0;
-        for (const auto& e : entries_) {
-            peak = std::max(peak, e.value);
-            label_w = std::max(label_w, e.label.size());
-        }
-        std::ostringstream os;
-        os << title_ << "\n";
-        for (const auto& e : entries_) {
-            const int len = peak > 0.0
-                                ? static_cast<int>(e.value / peak * max_width_ + 0.5)
-                                : 0;
-            os << "  " << std::left << std::setw(static_cast<int>(label_w)) << e.label << " |"
-               << std::string(static_cast<std::size_t>(len), '#') << " "
-               << format_double(e.value, 2) << "\n";
-        }
-        return os.str();
-    }
-
-    void print() const { std::cout << str(); }
-
-    static std::string format_double(double v, int precision) {
-        std::ostringstream os;
-        os << std::fixed << std::setprecision(precision) << v;
-        return os.str();
-    }
-
-private:
-    struct Entry {
-        std::string label;
-        double value;
-    };
-    std::string title_;
-    int max_width_;
-    std::vector<Entry> entries_;
-};
-
-/// printf-style float formatting helper shared by bench binaries.
+/// Fixed-point float formatting with `precision` decimals.
 inline std::string fmt(double v, int precision = 2) {
-    return AsciiBarChart::format_double(v, precision);
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(precision) << v;
+    return os.str();
 }
 
 }  // namespace salo

@@ -19,7 +19,6 @@
 namespace salo {
 
 class FaultInjector;  // common/fault_injector.hpp (test/robustness hook)
-class PlanCache;      // core/plan_cache.hpp
 
 enum class Fidelity {
     kGolden,
@@ -51,7 +50,7 @@ struct SaloConfig {
     /// the PE MACs, so the next tile's stage-1 systolic pass can run under
     /// it. When enabled, every tile after the first hides its stage-3
     /// latency. Off by default (the paper does not describe the overlap);
-    /// quantified in bench_ablation.
+    /// its ablation is a row of bench/paper_claims.cpp.
     bool tile_pipelining = false;
 
     /// Host-side parallelism for simulation speed only: results are
@@ -60,7 +59,7 @@ struct SaloConfig {
     /// values <= 0 mean "auto" (hardware concurrency).
     int num_threads = default_num_threads();
 
-    /// Capacity of the engine's CompiledPlan LRU cache (distinct
+    /// Capacity of the engine's own CompiledPlan LRU cache (distinct
     /// pattern/geometry/head-dim combinations kept hot), and of a serving
     /// tier's one cache. Must be >= 1.
     int plan_cache_capacity = 64;
@@ -70,13 +69,6 @@ struct SaloConfig {
     /// Null (the default) costs nothing; a per-request injector on an
     /// AttentionRequest overrides this one for that request.
     std::shared_ptr<const FaultInjector> fault_injector;
-
-    /// The engine's plan cache. Null (the default): the engine builds its
-    /// own of plan_cache_capacity. A serving tier (core/tier.hpp) sets one
-    /// cache here for every shard, so the tier compiles each shape and
-    /// derives each decode step once; a config handed to a tier must leave
-    /// it null (the tier rejects one that does not).
-    std::shared_ptr<PlanCache> shared_plan_store;
 
     /// Reject nonsensical values (zero geometry, non-positive bandwidth,
     /// NaN frequency, ...) with a ContractViolation naming the offending

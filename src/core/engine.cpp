@@ -29,12 +29,11 @@ void expect_head_shapes(const CompiledPlan& plan, const Matrix<float>& q,
 
 SaloEngine::SaloEngine() : SaloEngine(SaloConfig{}) {}
 
-SaloEngine::SaloEngine(const SaloConfig& config)
+SaloEngine::SaloEngine(const SaloConfig& config, std::shared_ptr<PlanCache> plan_cache)
     : config_(config), exp_unit_(config.exp_config), recip_unit_(config.recip_config),
-      plan_cache_(config.shared_plan_store
-                      ? config.shared_plan_store
-                      : std::make_shared<PlanCache>(static_cast<std::size_t>(
-                            std::max(1, config.plan_cache_capacity)))) {
+      plan_cache_(plan_cache ? std::move(plan_cache)
+                             : std::make_shared<PlanCache>(static_cast<std::size_t>(
+                                   std::max(1, config.plan_cache_capacity)))) {
     config_.validate();
 }
 

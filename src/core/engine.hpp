@@ -104,7 +104,11 @@ struct RunOptions {
 class SaloEngine {
 public:
     SaloEngine();  // default configuration
-    explicit SaloEngine(const SaloConfig& config);
+    /// `plan_cache` null (the default): the engine builds its own of
+    /// config.plan_cache_capacity. A serving tier passes its one cache to
+    /// every shard engine.
+    explicit SaloEngine(const SaloConfig& config,
+                        std::shared_ptr<PlanCache> plan_cache = nullptr);
 
     const SaloConfig& config() const { return config_; }
 
@@ -251,7 +255,7 @@ private:
     SaloConfig config_;
     PwlExp exp_unit_;
     Reciprocal recip_unit_;
-    std::shared_ptr<PlanCache> plan_cache_;  ///< own, or config.shared_plan_store
+    std::shared_ptr<PlanCache> plan_cache_;  ///< own, or the one the constructor was given
     mutable std::once_flag pool_once_;
     mutable std::unique_ptr<ThreadPool> pool_;
 };

@@ -12,7 +12,7 @@
 // one becomes the new leader, so a failed compile never wedges the key.
 //
 // One cache per serving tier: ServingTier builds one PlanCache and hands
-// it to every shard engine (SaloConfig::shared_plan_store), so a tier runs
+// it to every shard engine (the SaloEngine constructor), so a tier runs
 // the scheduler once per distinct shape and derives each decode step once,
 // whichever shard asks first. The in-flight dedup above makes that hold
 // under concurrent misses from different shards too.

@@ -118,15 +118,12 @@ ServingTier::ServingTier(
       health_(std::max(1, num_shards), health),
       ledger_(steps) {
     SALO_EXPECTS(num_shards >= 1);
-    // The tier sets this field for its shards; a caller's cache would be lost.
-    SALO_EXPECTS(config.shared_plan_store == nullptr);
     shards_.reserve(static_cast<std::size_t>(num_shards));
     for (std::size_t i = 0; i < static_cast<std::size_t>(num_shards); ++i) {
         SaloConfig shard_config = config;
         if (i < shard_fault_injectors.size() && shard_fault_injectors[i] != nullptr)
             shard_config.fault_injector = shard_fault_injectors[i];
-        shard_config.shared_plan_store = plan_cache_;
-        shards_.push_back(std::make_unique<Shard>(shard_config));
+        shards_.push_back(std::make_unique<Shard>(shard_config, plan_cache_));
     }
 }
 

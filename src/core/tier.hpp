@@ -199,7 +199,8 @@ protected:
     using Clock = std::chrono::steady_clock;
 
     struct Shard {
-        explicit Shard(const SaloConfig& config) : engine(config) {}
+        Shard(const SaloConfig& config, std::shared_ptr<PlanCache> plan_cache)
+            : engine(config, std::move(plan_cache)) {}
         SaloEngine engine;
         std::atomic<std::uint64_t> outstanding_cost{0};  ///< routing load signal
         std::atomic<int> active{0};                      ///< attempts running here
@@ -208,8 +209,7 @@ protected:
 
     /// Builds the shard set: shard i runs `config` with
     /// shard_fault_injectors[i] (when present and non-null) and the tier's
-    /// one plan cache of config.plan_cache_capacity. config.shared_plan_store
-    /// must be null (the tier fills it in for every shard).
+    /// one plan cache of config.plan_cache_capacity.
     ServingTier(const SaloConfig& config, int num_shards,
                 const std::vector<std::shared_ptr<const FaultInjector>>& shard_fault_injectors,
                 const HealthPolicy& health, bool steps);

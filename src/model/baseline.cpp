@@ -92,7 +92,7 @@ BaselineBreakdown sparse_attention_ms(const DeviceSpec& device,
 
 double implied_power_w(const DeviceSpec& device, const std::string& workload_name) {
     // P_device = saving / speedup * P_SALO, from the paper's Figure 7a/7b
-    // pairs (see DESIGN.md substitutions). Values in watts.
+    // pairs (see docs/REPRODUCTION.md, calibrations). Values in watts.
     struct Entry {
         const char* workload;
         double saving;

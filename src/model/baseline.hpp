@@ -1,5 +1,5 @@
 // CPU/GPU baseline latency and power models (substitute for the paper's
-// measured Xeon E5-2630 v3 / GTX 1080Ti numbers — see DESIGN.md).
+// measured Xeon E5-2630 v3 / GTX 1080Ti numbers — see docs/REPRODUCTION.md).
 //
 // Structure: an attention layer on a general-purpose device costs a compute
 // term (FLOPs over achievable throughput) plus a memory term (materialized
@@ -10,7 +10,7 @@
 // overlapping windows and materialize big intermediate tensors, which is
 // what the chunk_redundancy / unfold traffic terms model.
 //
-// Calibration anchors (documented in EXPERIMENTS.md):
+// Calibration anchors (documented in docs/REPRODUCTION.md):
 //   * GPU dense efficiency is fitted to the paper's own measurement of
 //     BERT attention on a 1080Ti (9.20 ms at n=2048, 145.70 ms at n=8192);
 //   * CPU/GPU throughput ratio (~11.3x) matches the ratio between the

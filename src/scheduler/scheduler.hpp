@@ -18,8 +18,10 @@
 //   * global assignment   — every (global query, key) pair is routed to the
 //     global PE row exactly once, every (query, global key) pair to the
 //     global PE column exactly once, exploiting the natural reloading of
-//     inputs across tiles (§5.2). If a pattern exceeds the paper's n_g
-//     bound, correctness is preserved by emitting explicit catch-up tiles.
+//     inputs across tiles (§5.2). Global work left over is run in explicit
+//     catch-up tiles. That happens below the paper's n_g bound too, because
+//     edge row blocks get fewer window tiles than the bound assumes
+//     (Longformer-4096: from n_g = 9, against a bound of 16).
 //
 // The scheduler also enforces the SRAM buffer capacities of Table 1.
 #pragma once

@@ -12,7 +12,7 @@
 // residue class). With one segment per tile this is exactly the hardware of
 // Fig. 5; multiple segments model column-packed scheduling, where narrow
 // bands (e.g. ViL's 15-wide window rows) share the 32-wide array instead of
-// leaving half the columns dark (see DESIGN.md, scheduling modes).
+// leaving half the columns dark (docs/REPRODUCTION.md, ablations).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // Hyperpartisan / ImageNet-1K and shows that SALO's Q3.4 inputs + 16-bit
 // outputs do not change downstream accuracy. Checkpoints and datasets are
 // not available offline, so we build the closest synthetic equivalent that
-// exercises the same error path (see DESIGN.md, substitutions):
+// exercises the same error path (see docs/REPRODUCTION.md, substitutions):
 //
 //   * each class has a prototype token distribution;
 //   * a sample is a sequence of noisy tokens: each token carries the

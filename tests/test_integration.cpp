@@ -78,7 +78,7 @@ TEST(Integration, RegressionPinnedCycleCounts) {
     // These guard the timing model: if you change the cycle formulas, the
     // reciprocal latency, the bus model or the scheduler's tiling, these
     // numbers move and this test forces a conscious update (and a matching
-    // EXPERIMENTS.md refresh).
+    // update of bench/paper_claims.cpp and docs/REPRODUCTION.md).
     const SaloConfig config;
     EXPECT_EQ(estimate_layer(longformer_base_4096(), config).stats.cycles, 6384288);
     EXPECT_EQ(estimate_layer(vil_stage1(), config).stats.cycles, 567414);

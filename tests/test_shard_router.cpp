@@ -802,17 +802,6 @@ TEST(TenantFairness, TierStatsCountSharedStoreCompiles) {
     EXPECT_EQ(tier.stats().plan_cache.compiles, 1u);
 }
 
-TEST(TenantFairness, TierRejectsACallersPlanCache) {
-    // The tier fills SaloConfig::shared_plan_store in for its shards; a
-    // cache the caller set there would be dropped, so it is refused.
-    SaloConfig config = serving_config(1);
-    config.shared_plan_store = std::make_shared<PlanCache>(8);
-    ShardedSessionOptions options;
-    options.num_shards = 2;
-    EXPECT_THROW({ ShardedSession tier(config, options); }, ContractViolation);
-    EXPECT_THROW({ DecodeSession tier(config); }, ContractViolation);
-}
-
 TEST(ShardedSession, DegradedTierShedsEarlier) {
     const Work work;
     ShardedSessionOptions options;
